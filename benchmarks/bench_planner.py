@@ -16,9 +16,10 @@ Fig-7 samples -- where the legacy order is already near-optimal; cost mode
 must not regress them below ``GUARD_FLOOR`` (0.9x), pinning that the
 statistics and search overhead is amortised by the plan cache.
 
-Garbage collection stays enabled during measurement (see
-``bench_columnar.py``); a ``gc.collect()`` between cells keeps one cell's
-garbage from being charged to the next.
+Garbage collection stays enabled during measurement: full collections
+scanning the row dictionaries are part of what real users pay, and
+disabling gc would hide them.  A ``gc.collect()`` between cells keeps one
+cell's garbage from being charged to the next.
 """
 
 from __future__ import annotations

@@ -18,11 +18,14 @@ each body **once** into a :class:`JoinPlan`:
   instead of diverging or being silently dropped mid-iteration (this is the
   single code path replacing the historical deferral logic of ``unify.py``
   and ``seminaive.py``, which had drifted apart);
-* the executor is a flat iterative backtracking loop that drives
-  :meth:`repro.datalog.database.Database.scan` (and through it the
-  per-position hash indexes of :class:`~repro.datalog.database.Relation`)
-  with a positional slot array, never materialising substitution
-  dictionaries or re-wrapped literals on the hot path.
+* the fixpoint runtime fires a plan as one columnar batch
+  (:meth:`JoinPlan.head_batch`): every scan step processes the whole
+  binding batch over interned code columns, one indexed probe per distinct
+  join key; the generator entry points, and the shapes a batch cannot run,
+  use a flat iterative backtracking loop that drives
+  :meth:`repro.datalog.database.Database.scan` with a positional slot
+  array.  Neither path materialises substitution dictionaries or
+  re-wrapped literals on the hot path.
 
 Plans are cached (:func:`body_plan` / :func:`rule_plan` / :func:`delta_plan`)
 keyed by the body, the set of initially-bound variables and the delta
@@ -35,8 +38,9 @@ and ``distinct_facts`` for precisely the rows the interpreted nested-loop
 join would have charged for the same literal order, which
 :func:`set_execution_mode` makes checkable -- in ``"interpreted"`` mode every
 plan runs through a reference substitution-dictionary executor over the same
-ordered body, and the differential tests assert both executors produce
-identical answers *and* identical counters on every workload.
+ordered body, and the differential tests assert it and the default
+``"columnar"`` mode produce identical answers *and* identical counters on
+every workload.
 
 :func:`compile_image` is the analogous once-per-expression compiler for the
 relational-algebra node images used by the Henschen-Naqvi and counting
@@ -83,10 +87,9 @@ SOURCE_MAIN = 0      # the primary database only
 SOURCE_DERIVED = 1   # the secondary (delta) database only
 SOURCE_BOTH = 2      # primary first, then secondary
 
-_MODE_COMPILED = "compiled"
 _MODE_INTERPRETED = "interpreted"
 _MODE_COLUMNAR = "columnar"
-_mode = _MODE_COMPILED
+_mode = _MODE_COLUMNAR
 
 #: A plan whose optimistic batch was aborted this many times stops trying:
 #: its data shape feeds its own later scans, so every attempt would pay the
@@ -95,26 +98,26 @@ _BATCH_ABORT_LIMIT = 2
 
 
 def set_execution_mode(mode: str) -> None:
-    """Select how plans execute: ``"compiled"`` (default), ``"interpreted"``
-    or ``"columnar"``.
+    """Select how plans execute: ``"columnar"`` (default) or ``"interpreted"``.
+
+    The columnar mode drives :meth:`JoinPlan.head_batch`, the whole-batch
+    executor the stratified runtime fires rules through: each scan step
+    processes the entire binding batch at once -- one indexed probe per
+    distinct join key, vectorized builtin filters over value columns,
+    anti-join reducers for negation -- with charging replicated bit for bit
+    (see :mod:`repro.storage.columns`).  The plan's private row executor
+    serves the generator entry points (:meth:`JoinPlan.substitutions` /
+    :meth:`JoinPlan.heads` / :meth:`JoinPlan.pairs`, whose callers may
+    interleave arbitrary writes with consumption) and the shapes a batch
+    cannot run (see :meth:`JoinPlan.head_batch`).
 
     The interpreted mode runs the reference substitution-dictionary
     nested-loop join over the *same* plan (same literal order, same builtin
     placement, same delta sources) and exists so the differential tests can
-    assert the two executors agree on answers and counters.
-
-    The columnar mode keeps the compiled row executor for the generator
-    entry points (:meth:`JoinPlan.substitutions` / :meth:`JoinPlan.heads` /
-    :meth:`JoinPlan.pairs`, whose callers may interleave arbitrary writes
-    with consumption) and additionally offers :meth:`JoinPlan.head_batch`,
-    the whole-batch executor the stratified runtime drives: each scan step
-    processes the entire binding batch at once -- one indexed probe per
-    distinct join key, vectorized builtin filters over value columns,
-    anti-join reducers for negation -- with charging replicated bit for bit
-    (see :mod:`repro.storage.columns`).
+    assert the executors agree on answers and counters.
     """
     global _mode
-    if mode not in (_MODE_COMPILED, _MODE_INTERPRETED, _MODE_COLUMNAR):
+    if mode not in (_MODE_INTERPRETED, _MODE_COLUMNAR):
         raise ValueError(f"unknown execution mode {mode!r}")
     _mode = mode
 
@@ -255,7 +258,7 @@ class NegationCheck:
     occurrences of one variable still constraining each other, mirroring
     :meth:`~repro.datalog.database.Database.match`.  The scan charges
     retrievals the same way a positive scan of the same bound literal would,
-    so the compiled and interpreted executors stay counter-identical.
+    so the row, batch and interpreted executors stay counter-identical.
     """
 
     __slots__ = (
@@ -1745,7 +1748,7 @@ class JoinPlan:
         This is the historical ``unify.py`` evaluation style -- build a bound
         literal per step, :meth:`Database.match` it, extend the substitution
         per row -- kept as an independently-implemented referee for the
-        compiled executor.  Answers *and* charged counters must agree.
+        row and batch executors.  Answers *and* charged counters must agree.
         """
         from .unify import apply_to_literal, match_literal
 
@@ -2416,11 +2419,12 @@ class AggregateFold:
     """An aggregate rule compiled to a post-fixpoint fold operator.
 
     For a rule such as ``sp(X, Y, min(C)) :- path(X, Y, C).`` the fold runs
-    the body's join plan (compiled or interpreted, following the global
-    execution mode), groups the satisfying substitutions by the head's plain
-    terms and folds, per group, the *set of distinct values* each aggregated
-    variable takes -- Datalog is set-based, so this is the only well-defined
-    reading (``sum`` sums distinct values, ``count`` counts them).
+    the body's join plan (the row executor, or the interpreted one under
+    ``set_execution_mode("interpreted")``), groups the satisfying
+    substitutions by the head's plain terms and folds, per group, the *set
+    of distinct values* each aggregated variable takes -- Datalog is
+    set-based, so this is the only well-defined reading (``sum`` sums
+    distinct values, ``count`` counts them).
 
     Stratification guarantees every body predicate is fully evaluated before
     the fold's stratum starts, so a fold fires exactly once per stratum

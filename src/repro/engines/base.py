@@ -133,8 +133,8 @@ class EngineResult:
 
         The :class:`~repro.instrumentation.BatchStats` carried by
         :attr:`counters` -- batches committed, rows in/out, row-loop
-        fallbacks, and per-plan-node counts.  All zeros unless the run
-        executed under ``set_execution_mode("columnar")``.
+        fallbacks, and per-plan-node counts.  All zeros when the run
+        executed under ``set_execution_mode("interpreted")``.
         """
         return self.counters.batch
 

@@ -142,17 +142,66 @@ def _batch_heads(
 ) -> Optional[List[Row]]:
     """All head rows of one whole-batch plan execution, or ``None``.
 
-    ``None`` -- because the columnar mode is off, the plan's shape is not
-    batchable, or an optimistic batch was discarded -- sends the caller to
-    the row-at-a-time ``plan.heads`` loop.  Every firing loop below satisfies
+    ``None`` -- because the interpreted reference mode is selected, the
+    plan's shape is not batchable, or an optimistic batch was discarded --
+    sends the caller to the row-at-a-time ``plan.heads`` loop.  Every caller
+    (:func:`_fire`) satisfies
     :meth:`~repro.datalog.plans.JoinPlan.head_batch`'s consumption contract:
     between the call and the insertion of the returned rows, only the plan's
     head relation of ``database`` (and databases the plan does not read) is
     written.
     """
-    if _plans._mode != _plans._MODE_COLUMNAR:
+    if _plans._mode == _plans._MODE_INTERPRETED:
         return None
     return plan.head_batch(database, derived=derived, frozen=frozen)
+
+
+def _fire(
+    plan,
+    head_predicate: str,
+    database: Database,
+    derived: Optional[Database],
+    counters: Counters,
+    collect: Optional[Database] = None,
+    target: Optional[Database] = None,
+    derive: bool = True,
+    frozen: bool = False,
+    batch: Optional[List[Row]] = None,
+) -> int:
+    """Fire one plan and insert its head rows; returns how many were new.
+
+    The one firing path of every fixpoint, resume and DRed loop.  The plan
+    runs as a batch when it can (or ``batch`` is already given, by the shard
+    executor) and through its row loop otherwise.  Each head row charges one
+    ``rule_firings``; each row new to ``target`` (``database`` unless
+    given) charges one ``derived_tuples`` when ``derive`` is set and is
+    copied into ``collect`` when given.
+    """
+    if target is None:
+        target = database
+    if batch is None:
+        batch = _batch_heads(plan, database, derived, frozen)
+    if batch is not None:
+        counters.rule_firings += len(batch)
+        new_rows = target.add_rows(
+            head_predicate, batch, journal=target is database
+        )
+        if new_rows:
+            if derive:
+                counters.derived_tuples += len(new_rows)
+            if collect is not None:
+                collect.add_rows(head_predicate, new_rows, journal=False, distinct=True)
+        return len(new_rows)
+    added = 0
+    for head_row in plan.heads(database, derived=derived):
+        counters.rule_firings += 1
+        if target.add_fact(head_predicate, head_row):
+            added += 1
+            if derive:
+                counters.derived_tuples += 1
+            if collect is not None:
+                collect.add_fact(head_predicate, head_row)
+    return added
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +259,8 @@ def _jacobi_stratum(rules: List[Rule], database: Database, counters: Counters) -
         counters.iterations += 1
         changed = False
         for head_predicate, plan in plans:
-            batch = _batch_heads(plan, database)
-            if batch is not None:
-                counters.rule_firings += len(batch)
-                new_rows = database.add_rows(head_predicate, batch)
-                if new_rows:
-                    counters.derived_tuples += len(new_rows)
-                    changed = True
-                continue
-            for head_row in plan.heads(database):
-                counters.rule_firings += 1
-                if database.add_fact(head_predicate, head_row):
-                    counters.derived_tuples += 1
-                    changed = True
+            if _fire(plan, head_predicate, database, None, counters):
+                changed = True
     return iterations
 
 
@@ -406,20 +444,7 @@ def evaluate_component(
     _fire_folds(rules, database, counters, delta)
     round0 = [(rule, rule_plan(rule, database=database)) for rule in scan_rules]
     for rule, plan in round0:
-        head_predicate = rule.head.predicate
-        batch = _batch_heads(plan, database)
-        if batch is not None:
-            counters.rule_firings += len(batch)
-            new_rows = database.add_rows(head_predicate, batch)
-            if new_rows:
-                counters.derived_tuples += len(new_rows)
-                delta.add_rows(head_predicate, new_rows, journal=False, distinct=True)
-            continue
-        for head_row in plan.heads(database):
-            counters.rule_firings += 1
-            if database.add_fact(head_predicate, head_row):
-                counters.derived_tuples += 1
-                delta.add_fact(head_predicate, head_row)
+        _fire(plan, rule.head.predicate, database, None, counters, collect=delta)
     counters.iterations += 1
 
     # One plan variant per occurrence of a recursive predicate, with that
@@ -433,18 +458,19 @@ def evaluate_component(
     if (
         allow_sharding
         and _parallel.parallelism() > 1
-        and _plans._mode == _plans._MODE_COLUMNAR
+        and _plans._mode != _plans._MODE_INTERPRETED
         and _storage_runtime._mode == MODE_KERNEL
         and _parallel.fork_available()
     ):
         shard = _ShardContext(database, recursive_key, variants)
         if not shard.plans:
             shard = None
-    # Mid-fixpoint adaptive re-planning (cost mode, unsharded rounds only:
-    # the shard executor's charge replay is tied to the plan objects it was
-    # built with).  ``assumed`` records the cardinality each recursive
-    # predicate was costed with when the current variants were compiled.
-    adaptive = shard is None and _plans._plan_mode == _plans._PLAN_COST
+    # Mid-fixpoint adaptive re-planning (cost mode).  The shard executor
+    # only recognises the plan objects it was built with, so re-planned
+    # variants run in process.  ``assumed`` records the cardinality each
+    # recursive predicate was costed with when the current variants were
+    # compiled.
+    adaptive = _plans._plan_mode == _plans._PLAN_COST
     assumed: Dict[str, float] = {}
     if adaptive:
         for predicate in recursive_key:
@@ -466,23 +492,11 @@ def evaluate_component(
             for rule, plans in variants:
                 head_predicate = rule.head.predicate
                 for plan in plans:
-                    batch = None
-                    if shard is not None:
-                        batch = shard.execute(plan, delta)
-                    if batch is None:
-                        batch = _batch_heads(plan, database, derived=delta)
-                    if batch is not None:
-                        counters.rule_firings += len(batch)
-                        new_rows = database.add_rows(head_predicate, batch)
-                        if new_rows:
-                            counters.derived_tuples += len(new_rows)
-                            new_delta.add_rows(head_predicate, new_rows, journal=False, distinct=True)
-                        continue
-                    for head_row in plan.heads(database, derived=delta):
-                        counters.rule_firings += 1
-                        if database.add_fact(head_predicate, head_row):
-                            counters.derived_tuples += 1
-                            new_delta.add_fact(head_predicate, head_row)
+                    _fire(
+                        plan, head_predicate, database, delta, counters,
+                        collect=new_delta,
+                        batch=shard.execute(plan, delta) if shard else None,
+                    )
             counters.iterations += 1
             delta = new_delta
     finally:
@@ -1292,21 +1306,9 @@ def _resume_component(
             rule, changed_predicates, delta_first=True, database=database
         ):
             fired = True
-            batch = _batch_heads(plan, database, derived=changed)
-            if batch is not None:
-                counters.rule_firings += len(batch)
-                new_rows = database.add_rows(head_predicate, batch)
-                if new_rows:
-                    counters.derived_tuples += len(new_rows)
-                    new_tuples += len(new_rows)
-                    delta.add_rows(head_predicate, new_rows, journal=False, distinct=True)
-                continue
-            for head_row in plan.heads(database, derived=changed):
-                counters.rule_firings += 1
-                if database.add_fact(head_predicate, head_row):
-                    counters.derived_tuples += 1
-                    new_tuples += 1
-                    delta.add_fact(head_predicate, head_row)
+            new_tuples += _fire(
+                plan, head_predicate, database, changed, counters, collect=delta
+            )
     if not fired:
         return 0
     counters.iterations += 1
@@ -1324,21 +1326,10 @@ def _resume_component(
         for rule, plans in variants:
             head_predicate = rule.head.predicate
             for plan in plans:
-                batch = _batch_heads(plan, database, derived=delta)
-                if batch is not None:
-                    counters.rule_firings += len(batch)
-                    new_rows = database.add_rows(head_predicate, batch)
-                    if new_rows:
-                        counters.derived_tuples += len(new_rows)
-                        new_tuples += len(new_rows)
-                        new_delta.add_rows(head_predicate, new_rows, journal=False, distinct=True)
-                    continue
-                for head_row in plan.heads(database, derived=delta):
-                    counters.rule_firings += 1
-                    if database.add_fact(head_predicate, head_row):
-                        counters.derived_tuples += 1
-                        new_tuples += 1
-                        new_delta.add_fact(head_predicate, head_row)
+                new_tuples += _fire(
+                    plan, head_predicate, database, delta, counters,
+                    collect=new_delta,
+                )
         counters.iterations += 1
         delta = new_delta
     return new_tuples
@@ -1404,17 +1395,11 @@ def _dred_delete(
                 # The overdelete loop never mutates ``database`` (it only
                 # accumulates into ``overdeleted``/``next_frontier``), so
                 # even self-feeding-shaped plans batch without verification.
-                batch = _batch_heads(plan, database, derived=frontier, frozen=True)
-                if batch is not None:
-                    counters.rule_firings += len(batch)
-                    new_rows = overdeleted.add_rows(head_predicate, batch, journal=False)
-                    if new_rows:
-                        next_frontier.add_rows(head_predicate, new_rows, journal=False, distinct=True)
-                    continue
-                for head_row in plan.heads(database, derived=frontier):
-                    counters.rule_firings += 1
-                    if overdeleted.add_fact(head_predicate, head_row):
-                        next_frontier.add_fact(head_predicate, head_row)
+                _fire(
+                    plan, head_predicate, database, frontier, counters,
+                    collect=next_frontier, target=overdeleted, derive=False,
+                    frozen=True,
+                )
         counters.iterations += 1
         frontier = next_frontier
 
@@ -1445,17 +1430,10 @@ def _dred_delete(
             plan = delta_plan(
                 guarded, frozenset((predicate,)), 0, delta_first=True, database=database
             )
-            batch = _batch_heads(plan, database, derived=overdeleted)
-            if batch is not None:
-                counters.rule_firings += len(batch)
-                new_rows = database.add_rows(predicate, batch)
-                if new_rows:
-                    rederived.add_rows(predicate, new_rows, journal=False)
-                continue
-            for head_row in plan.heads(database, derived=overdeleted):
-                counters.rule_firings += 1
-                if database.add_fact(predicate, head_row):
-                    rederived.add_fact(predicate, head_row)
+            _fire(
+                plan, predicate, database, overdeleted, counters,
+                collect=rederived, derive=False,
+            )
     if rederived.total_facts():
         _resume_positive(program, analysis, database, rederived, counters)
 

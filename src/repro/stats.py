@@ -8,20 +8,22 @@ sizes are exact per-code frequencies.  This module derives a compact
 the copy-on-write lifecycle without ever rescanning a table that has not
 changed:
 
-* **snapshots share stats** -- the summary cache is keyed by the identity of
-  the table's internal row map, which :meth:`IntTable.snapshot` shares O(1)
-  between the source and the copy, so both sides hit one cache entry until
-  either is written (at which point the writer's ``_unshare`` gives it a new
-  row map and therefore a fresh entry, while the other side keeps hitting
-  the old one);
+* **the table owns its stats** -- the summary lives in the table's
+  :attr:`IntTable.stats` slot, so it is freed with the table instead of
+  outliving it in a process-wide cache;
+* **snapshots share stats** -- :meth:`IntTable.snapshot` shares the slot
+  O(1) along with the row map, so both sides read one summary until either
+  is written (at which point the writer's copy-on-write unshare gives it a
+  new row map and clears its slot, while the other side keeps the old
+  summary);
 * **inserts patch lazily** -- the summary records the number of leading rows
   it has folded in (the same watermark idiom the table's lagging subset
   indexes use); an insert-only growth replays just the row-map tail into the
   per-column frequency counters instead of rescanning from row zero, which
   is what keeps per-round refreshes of a fixpoint's growing relations cheap;
 * **removals invalidate** -- a removal (detected as "the mutation epoch
-  advanced by more than the row count grew") drops the entry and the next
-  request pays one full rebuild, mirroring how the table itself invalidates
+  advanced by more than the row count grew") makes the next request pay
+  one full rebuild, mirroring how the table itself invalidates
   its lazy column code sets on :meth:`IntTable.remove`.
 
 :class:`TableStats` exposes *estimates* (average rows per probe key under
@@ -47,19 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Most-common-value sketch width: the top-K (code, count) pairs kept per
 #: column for reporting; the full frequency dict backs the sound bounds.
 MCV_WIDTH = 8
-
-#: Summary cache limit, same wipe-on-overflow policy as the plan cache.
-_CACHE_LIMIT = 4096
-
-#: row-map id -> (row map, mutation epoch, TableStats).  The row map is held
-#: strongly so its id cannot be recycled while the entry lives; the cache is
-#: bounded, so the extra lifetime is too.
-_CACHE: Dict[int, Tuple[dict, int, "TableStats"]] = {}
-
-
-def clear_stats_cache() -> None:
-    """Drop every cached summary (test isolation helper)."""
-    _CACHE.clear()
 
 
 class ColumnStats:
@@ -231,34 +220,29 @@ def table_stats(table: IntTable) -> TableStats:
     """The (cached, incrementally patched) statistics summary of ``table``.
 
     See the module docstring for the caching contract: snapshot-sharing
-    tables hit one entry, insert-only growth replays just the row-map tail,
-    removals (or a copy-on-write unshare) rebuild.
+    tables share one summary, insert-only growth replays just the row-map
+    tail, removals (or a copy-on-write unshare) rebuild.
     """
     rows = table.rows_map
-    key = id(rows)
     epoch = table.mutations
-    entry = _CACHE.get(key)
-    if entry is not None and entry[0] is rows:
-        cached = entry[2]
-        if entry[1] == epoch:
+    cached = table.stats
+    if isinstance(cached, TableStats):
+        if cached.epoch == epoch:
             return cached
         grown = len(rows) - cached.cardinality
-        if grown == epoch - entry[1] and grown >= 0:
+        if grown == epoch - cached.epoch and grown >= 0:
             # Insert-only growth: fold exactly the un-summarised tail.
             cached._fold(islice(iter(rows), cached.cardinality, None))
             cached.epoch = epoch
-            _CACHE[key] = (rows, epoch, cached)
             return cached
         # Removals happened (epoch advanced more than the row count grew):
         # fall through to a rebuild.
-    if len(_CACHE) >= _CACHE_LIMIT:
-        _CACHE.clear()
     stats = TableStats._from_adjacency(table)
     if stats is None:
         stats = TableStats(table.arity)
         stats._fold(rows)
     stats.epoch = epoch
-    _CACHE[key] = (rows, epoch, stats)
+    table.stats = stats
     return stats
 
 

@@ -84,6 +84,7 @@ class IntTable:
         "_colarrays",
         "_shared",
         "_mutations",
+        "stats",
     )
 
     def __init__(self, arity: int, interner: Optional[Interner] = None):
@@ -113,6 +114,12 @@ class IntTable:
         # several databases share one table copy-on-write (a sibling's
         # delete-then-refill restores a bucket's *size* but not its epoch).
         self._mutations = 0
+        # The planner's cached statistics summary, read and written only by
+        # :func:`repro.stats.table_stats` (which validates it against the
+        # mutation epoch).  It follows the row map: snapshots share it, and
+        # the copy-on-write unshare that gives a writer its own row map
+        # drops it, so a dropped table frees its statistics too.
+        self.stats: Optional[object] = None
 
     @property
     def interner(self) -> Interner:
@@ -156,6 +163,7 @@ class IntTable:
         dup._columns = self._columns
         dup._colarrays = self._colarrays
         dup._mutations = self._mutations
+        dup.stats = self.stats
         dup._shared = True
         self._shared = True
         return dup
@@ -168,6 +176,7 @@ class IntTable:
         self._adjacency = {}
         self._columns = None
         self._colarrays = None
+        self.stats = None
         self._shared = False
 
     # -- mutation -----------------------------------------------------------

@@ -1,0 +1,37 @@
+"""Shared fixtures for the differential test matrices."""
+
+from contextlib import contextmanager
+from unittest import mock
+
+import pytest
+
+from repro.datalog.plans import execution_mode
+from repro.engines import runtime
+
+#: A matrix cell that runs the default ``columnar`` mode with every runtime
+#: firing sent through the plan's row executor -- the path unbatchable
+#: shapes and discarded optimistic batches take.  It must charge exactly
+#: what the batch kernel and the interpreted oracle charge.
+ROW_FALLBACK = "row-fallback"
+
+
+def _no_batch(plan, database, derived=None, frozen=False):
+    return None
+
+
+@contextmanager
+def _execution_cell(cell):
+    if cell == ROW_FALLBACK:
+        with mock.patch.object(runtime, "_batch_heads", _no_batch):
+            with execution_mode("columnar"):
+                yield
+        return
+    with execution_mode(cell):
+        yield
+
+
+@pytest.fixture(scope="session")
+def execution_cell():
+    """``execution_cell(cell)`` enters one cell of the execution matrix:
+    ``"interpreted"``, ``"columnar"`` or ``"row-fallback"``."""
+    return _execution_cell

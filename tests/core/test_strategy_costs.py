@@ -5,7 +5,6 @@ from repro.datalog.database import Database
 from repro.datalog.parser import parse_literal, parse_program
 from repro.datalog.plans import plan_mode
 from repro.session import select_engine
-from repro.stats import clear_stats_cache
 
 TC = """
     tc(X, Y) :- e(X, Y).
@@ -18,9 +17,6 @@ def tc_database(n=30):
 
 
 class TestEstimateStrategyCosts:
-    def setup_method(self):
-        clear_stats_cache()
-
     def test_all_strategies_costed(self):
         program = parse_program(TC)
         costs = estimate_strategy_costs(
@@ -49,9 +45,6 @@ class TestEstimateStrategyCosts:
 
 
 class TestSelectEngineCostMode:
-    def setup_method(self):
-        clear_stats_cache()
-
     def test_legacy_choice_is_untouched_without_cost_mode(self):
         program = parse_program(TC)
         database = tc_database()

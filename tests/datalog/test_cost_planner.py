@@ -18,7 +18,7 @@ from repro.datalog.plans import (
 )
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Variable
-from repro.stats import PlanStatistics, clear_stats_cache
+from repro.stats import PlanStatistics
 
 
 def lit(pred, *args):
@@ -38,7 +38,6 @@ def skewed_db():
 
 @pytest.fixture(autouse=True)
 def _legacy_guard():
-    clear_stats_cache()
     drain_planner_events()
     yield
     set_plan_mode("legacy")
@@ -120,7 +119,6 @@ class TestCostOrdering:
         with plan_mode("cost"):
             first = body_plan(self.BODY, database=database)
             database.add_fact("big", ("extra", "y0"))  # 40 -> 41 rows
-            clear_stats_cache()
             assert body_plan(self.BODY, database=database) is first
 
     def test_dp_and_greedy_agree_on_chain(self):

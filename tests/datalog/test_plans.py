@@ -13,7 +13,9 @@ from repro.datalog.plans import (
     delta_plan,
     delta_plans,
     execution_mode,
+    get_execution_mode,
     rule_plan,
+    set_execution_mode,
 )
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Variable
@@ -175,10 +177,16 @@ class TestCacheAndModes:
         assert compiled == interpreted
 
     def test_unknown_mode_rejected(self):
-        from repro.datalog.plans import set_execution_mode
-
         with pytest.raises(ValueError):
             set_execution_mode("quantum")
+
+    def test_default_mode_is_columnar(self):
+        assert get_execution_mode() == "columnar"
+
+    def test_compiled_mode_is_gone(self):
+        with pytest.raises(ValueError, match="unknown execution mode"):
+            set_execution_mode("compiled")
+        assert get_execution_mode() == "columnar"
 
 
 class TestRepeatedVariablesAndSources:

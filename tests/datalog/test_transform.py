@@ -11,7 +11,7 @@ import pytest
 from repro.datalog.database import Database
 from repro.datalog.errors import NotApplicableError
 from repro.datalog.parser import parse_literal, parse_program, parse_query
-from repro.datalog.plans import execution_mode, plan_mode
+from repro.datalog.plans import plan_mode
 from repro.datalog.transform import (
     TransformReport,
     get_program_opt,
@@ -217,7 +217,7 @@ class TestDifferentialMatrix:
     @pytest.mark.parametrize("storage", ["kernel", "reference"])
     @pytest.mark.parametrize("plan", ["legacy", "cost"])
     @pytest.mark.parametrize(
-        "execution", ["compiled", "interpreted", "columnar"]
+        "execution", ["interpreted", "columnar", "row-fallback"]
     )
     @pytest.mark.parametrize(
         "program_text,query_text",
@@ -225,12 +225,19 @@ class TestDifferentialMatrix:
         ids=["tc-bound", "tc-free", "sg", "cycle"],
     )
     def test_matrix(
-        self, engine_name, storage, plan, execution, program_text, query_text
+        self,
+        engine_name,
+        storage,
+        plan,
+        execution,
+        program_text,
+        query_text,
+        execution_cell,
     ):
         program = parse_program(program_text)
         query = parse_literal(query_text)
         engine = get_engine(engine_name)
-        with storage_mode(storage), plan_mode(plan), execution_mode(execution):
+        with storage_mode(storage), plan_mode(plan), execution_cell(execution):
             try:
                 baseline = engine.answer(program, query)
             except NotApplicableError:

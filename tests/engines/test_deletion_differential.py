@@ -19,7 +19,6 @@ import pytest
 from repro.datalog.database import Database, Delta
 from repro.datalog.errors import NotApplicableError
 from repro.datalog.parser import parse_literal, parse_program
-from repro.datalog.plans import execution_mode
 from repro.datalog.semantics import answer_query
 from repro.engines import available_engines, get_engine
 from repro.storage import storage_mode
@@ -148,15 +147,17 @@ def test_dred_repairs_the_whole_model(engine_name, workload_name):
 @pytest.mark.parametrize("workload_name", MODE_WORKLOADS)
 @pytest.mark.parametrize("engine_name", ALL_ENGINES)
 @pytest.mark.parametrize("storage", ["kernel", "reference"])
-@pytest.mark.parametrize("plan_mode", ["compiled", "interpreted", "columnar"])
-def test_delete_resume_under_modes(engine_name, workload_name, storage, plan_mode):
+@pytest.mark.parametrize("plan_mode", ["interpreted", "columnar", "row-fallback"])
+def test_delete_resume_under_modes(
+    engine_name, workload_name, storage, plan_mode, execution_cell
+):
     program, full_db, query = WORKLOADS[workload_name]()
     engine = get_engine(engine_name)
     if not engine.applicable(program, query):
         pytest.skip(f"{engine_name} not applicable to {workload_name}")
     deletes = _retraction_slice(full_db)
     reduced_db = _reduced(full_db, deletes)
-    with storage_mode(storage), execution_mode(plan_mode):
+    with storage_mode(storage), execution_cell(plan_mode):
         try:
             materialization = engine.materialize(program, full_db)
             materialization.answer(query)

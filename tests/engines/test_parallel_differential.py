@@ -73,14 +73,14 @@ def force_sharding():
     _runtime.set_shard_min_rows(previous)
 
 
-def _run(engine_name, workload_name, storage, plan_mode, workers):
+def _run(engine_name, workload_name, storage, plan_mode, workers, cell=execution_mode):
     program, database, query = WORKLOADS[workload_name]()
     engine = get_engine(engine_name)
     if not engine.applicable(program, query):
         pytest.skip(f"{engine_name} rejects this workload by contract")
     set_parallelism(workers)
     try:
-        with storage_mode(storage), execution_mode(plan_mode):
+        with storage_mode(storage), cell(plan_mode):
             result = engine.answer(program, query, database.copy())
     finally:
         set_parallelism(1)
@@ -88,18 +88,18 @@ def _run(engine_name, workload_name, storage, plan_mode, workers):
 
 
 @pytest.mark.parametrize("workers", [2, 4])
-@pytest.mark.parametrize("plan_mode", ["compiled", "columnar"])
+@pytest.mark.parametrize("plan_mode", ["interpreted", "columnar", "row-fallback"])
 @pytest.mark.parametrize("storage", ["kernel", "reference"])
 @pytest.mark.parametrize("engine_name", RUNTIME_ENGINES)
 @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
 def test_parallel_matches_sequential(
-    engine_name, workload_name, storage, plan_mode, workers
+    engine_name, workload_name, storage, plan_mode, workers, execution_cell
 ):
     expected_answers, expected_counters = _run(
-        engine_name, workload_name, storage, plan_mode, 1
+        engine_name, workload_name, storage, plan_mode, 1, execution_cell
     )
     answers, counters = _run(
-        engine_name, workload_name, storage, plan_mode, workers
+        engine_name, workload_name, storage, plan_mode, workers, execution_cell
     )
     assert answers == expected_answers, (
         f"{engine_name}/{workload_name} answers diverge at {workers} workers "
@@ -114,9 +114,9 @@ def test_parallel_matches_sequential(
 @pytest.mark.parametrize("engine_name", sorted(set(available_engines()) - set(RUNTIME_ENGINES)))
 def test_other_engines_are_undisturbed(engine_name):
     expected_answers, expected_counters = _run(
-        engine_name, "tc-chain", "kernel", "compiled", 1
+        engine_name, "tc-chain", "kernel", "columnar", 1
     )
-    answers, counters = _run(engine_name, "tc-chain", "kernel", "compiled", 4)
+    answers, counters = _run(engine_name, "tc-chain", "kernel", "columnar", 4)
     assert answers == expected_answers
     assert counters == expected_counters
 

@@ -1,10 +1,11 @@
 """Differential tests: compiled plans vs the interpreted reference executor.
 
 Every engine is run on every workload family three times -- with the
-compiled slot-array executor (the default), with the interpreted
-substitution-dictionary executor, and with the columnar batch executor over
-the same plans -- and must produce identical answers *and* identical work
-counters.  The answers are also checked against the least-model semantics.
+columnar batch executor (the default), with every firing forced through the
+plan's row executor (the batch kernel's fallback), and with the interpreted
+substitution-dictionary executor over the same plans -- and must produce
+identical answers *and* identical work counters.  The answers are also
+checked against the least-model semantics.
 
 The module also carries the regression tests for the three bug fixes that
 landed with the plan compiler: the top-down builtin-deferral divergence, the
@@ -18,7 +19,6 @@ from repro.datalog.database import Database, Relation
 from repro.datalog.errors import EvaluationError
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_literal, parse_program
-from repro.datalog.plans import execution_mode
 from repro.datalog.rules import Program, Rule
 from repro.datalog.semantics import answer_query
 from repro.engines import get_engine, run_engine
@@ -65,19 +65,19 @@ ALL_ENGINES = [
 ]
 
 
-def _measure(engine, workload, mode):
+def _measure(engine, workload, cell, mode):
     program, database, query = workload
     counters = Counters()
     fresh = database.copy()
     fresh.reset_instrumentation(counters)
-    with execution_mode(mode):
+    with cell(mode):
         result = run_engine(engine, program, query, fresh, counters)
     return result.answers, counters.as_dict()
 
 
 @pytest.mark.parametrize("engine", ALL_ENGINES)
 @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
-def test_compiled_and_interpreted_agree(engine, workload_name):
+def test_columnar_and_interpreted_agree(engine, workload_name, execution_cell):
     workload = WORKLOADS[workload_name]
     program, database, query = workload
     try:
@@ -86,14 +86,12 @@ def test_compiled_and_interpreted_agree(engine, workload_name):
         applicable = False
     if not applicable:
         pytest.skip(f"{engine} not applicable to {workload_name}")
-    compiled_answers, compiled_counters = _measure(engine, workload, "compiled")
-    interpreted_answers, interpreted_counters = _measure(engine, workload, "interpreted")
-    columnar_answers, columnar_counters = _measure(engine, workload, "columnar")
-    assert compiled_answers == interpreted_answers
-    assert compiled_counters == interpreted_counters
-    assert columnar_answers == compiled_answers
-    assert columnar_counters == compiled_counters
-    assert compiled_answers == answer_query(program, query, database)
+    columnar = _measure(engine, workload, execution_cell, "columnar")
+    row_fallback = _measure(engine, workload, execution_cell, "row-fallback")
+    interpreted = _measure(engine, workload, execution_cell, "interpreted")
+    assert columnar == interpreted
+    assert row_fallback == interpreted
+    assert columnar[0] == answer_query(program, query, database)
 
 
 class TestTopdownDeferralGuard:

@@ -9,7 +9,6 @@ import pytest
 from repro.datalog.analysis import Stratification
 from repro.datalog.database import Database
 from repro.datalog.errors import StratificationError
-from repro.datalog.plans import execution_mode
 from repro.datalog.semantics import answer_against_relation, stratified_model
 from repro.engines import available_engines, get_engine
 from repro.session import QuerySession
@@ -44,9 +43,9 @@ def _reference(program, database, query):
 @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
 @pytest.mark.parametrize("engine_name", ALL_ENGINES)
 @pytest.mark.parametrize("storage", ["kernel", "reference"])
-@pytest.mark.parametrize("plan_mode", ["compiled", "interpreted", "columnar"])
+@pytest.mark.parametrize("plan_mode", ["interpreted", "columnar", "row-fallback"])
 def test_engines_match_the_stratified_reference(
-    engine_name, workload_name, storage, plan_mode
+    engine_name, workload_name, storage, plan_mode, execution_cell
 ):
     program, database, query = WORKLOADS[workload_name]()
     engine = get_engine(engine_name)
@@ -56,7 +55,7 @@ def test_engines_match_the_stratified_reference(
         )
         pytest.skip(f"{engine_name} rejects stratified programs by contract")
     expected = _reference(program, database, query)
-    with storage_mode(storage), execution_mode(plan_mode):
+    with storage_mode(storage), execution_cell(plan_mode):
         result = engine.answer(program, query, database.copy())
     assert result.answers == expected, (
         f"{engine_name} diverges from the stratified reference on "

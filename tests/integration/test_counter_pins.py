@@ -23,7 +23,6 @@ import pathlib
 
 import pytest
 
-from repro.datalog.plans import execution_mode
 from repro.engines import run_engine
 from repro.instrumentation import Counters
 from repro.workloads import sample_a, sample_b, sample_c, sample_cyclic
@@ -46,19 +45,22 @@ CELLS = [
 ]
 
 
-@pytest.mark.parametrize("plan_mode", ["compiled", "interpreted", "columnar"])
+@pytest.mark.parametrize("plan_mode", ["interpreted", "columnar", "row-fallback"])
 @pytest.mark.parametrize("workload_name,engine", CELLS)
-def test_paper_sample_counters_are_pinned(workload_name, engine, plan_mode):
-    """Every pinned cell must hold under all three plan-execution modes:
-    the columnar batch executor and the interpreted reference executor are
-    only admissible if they charge bit-identical work."""
+def test_paper_sample_counters_are_pinned(
+    workload_name, engine, plan_mode, execution_cell
+):
+    """Every pinned cell must hold under both plan-execution modes and the
+    row-executor fallback: the columnar batch executor (the default) and
+    the row path it falls back to are only admissible if they charge work
+    bit-identical to the interpreted reference executor."""
     program, database, query = WORKLOADS[workload_name]
     expected = PINS[workload_name][engine]
     counters = Counters()
     fresh = database.copy()
     fresh.reset_instrumentation(counters)
     try:
-        with execution_mode(plan_mode):
+        with execution_cell(plan_mode):
             result = run_engine(engine, program, query, fresh, counters)
     except Exception as exc:  # pinned failures stay failures
         assert expected == {"error": type(exc).__name__}

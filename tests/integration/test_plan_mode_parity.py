@@ -3,7 +3,7 @@
 Random stratified programs over random databases, evaluated under every
 plan mode x execution mode combination.  The cost planner may pick any
 join order it likes, so work counters are free to differ -- but the
-answer sets must match the legacy compiled run bit for bit.  (Counter
+answer sets must match the legacy columnar run bit for bit.  (Counter
 parity *within* legacy mode is pinned elsewhere; asserting it across
 plan modes would outlaw the very reorderings the cost planner exists
 to make.)
@@ -18,15 +18,14 @@ from hypothesis import strategies as st
 from repro.datalog.database import Database
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_program
-from repro.datalog.plans import drain_planner_events, execution_mode, plan_mode
+from repro.datalog.plans import drain_planner_events, plan_mode
 from repro.datalog.semantics import answer_query
 from repro.engines import run_engine
 from repro.instrumentation import Counters
-from repro.stats import clear_stats_cache
 
 BASE_PREDICATES = ["e", "f"]
 CONSTANTS = list(range(5))
-EXECUTION_MODES = ("compiled", "interpreted", "columnar")
+EXECUTION_MODES = ("interpreted", "columnar", "row-fallback")
 PLAN_MODES = ("legacy", "cost")
 
 
@@ -63,12 +62,11 @@ def random_stratified_program(seed: int) -> str:
     return "\n".join(lines)
 
 
-def _answers(engine, program, query, database, exec_mode, planning):
+def _answers(engine, program, query, database, cell, exec_mode, planning):
     counters = Counters()
     fresh = database.copy()
     fresh.reset_instrumentation(counters)
-    clear_stats_cache()
-    with plan_mode(planning), execution_mode(exec_mode):
+    with plan_mode(planning), cell(exec_mode):
         result = run_engine(engine, program, query, fresh, counters)
     drain_planner_events()  # don't leak adaptive-replan events process-wide
     return result.answers
@@ -81,7 +79,7 @@ class TestPlanModeParity:
     )
     @settings(max_examples=30, deadline=None)
     def test_all_six_cells_agree_on_stratified_programs(
-        self, program_seed, data_seed
+        self, program_seed, data_seed, execution_cell
     ):
         program = parse_program(random_stratified_program(program_seed))
         database = random_database(data_seed, size=6)
@@ -90,7 +88,13 @@ class TestPlanModeParity:
         for planning in PLAN_MODES:
             for exec_mode in EXECUTION_MODES:
                 answers = _answers(
-                    "seminaive", program, query, database, exec_mode, planning
+                    "seminaive",
+                    program,
+                    query,
+                    database,
+                    execution_cell,
+                    exec_mode,
+                    planning,
                 )
                 assert answers == reference, (planning, exec_mode)
 
@@ -101,7 +105,7 @@ class TestPlanModeParity:
     )
     @settings(max_examples=20, deadline=None)
     def test_demand_strategies_agree_under_cost_mode(
-        self, program_seed, data_seed, start
+        self, program_seed, data_seed, start, execution_cell
     ):
         # Positive core only: the magic engine rejects negation outright.
         positive = random_stratified_program(program_seed).splitlines()[:2]
@@ -117,21 +121,27 @@ class TestPlanModeParity:
         for engine in engines:
             for planning in PLAN_MODES:
                 answers = _answers(
-                    engine, program, query, database, "compiled", planning
+                    engine,
+                    program,
+                    query,
+                    database,
+                    execution_cell,
+                    "columnar",
+                    planning,
                 )
                 assert answers == reference, (engine, planning)
 
 
 class TestFixedWorkloadParity:
     @pytest.mark.parametrize("exec_mode", EXECUTION_MODES)
-    def test_same_generation_cells_agree(self, exec_mode):
+    def test_same_generation_cells_agree(self, exec_mode, execution_cell):
         from repro.workloads import sample_a
 
         program, database, query = sample_a(40)
         baseline = _answers(
-            "seminaive", program, query, database, "compiled", "legacy"
+            "seminaive", program, query, database, execution_cell, "columnar", "legacy"
         )
-        assert (
-            _answers("seminaive", program, query, database, exec_mode, "cost")
-            == baseline
+        cost = _answers(
+            "seminaive", program, query, database, execution_cell, exec_mode, "cost"
         )
+        assert cost == baseline

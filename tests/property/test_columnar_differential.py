@@ -1,11 +1,12 @@
-"""Property-based three-executor differential: compiled = interpreted = columnar.
+"""Property-based executor differential: columnar = row fallback = interpreted.
 
 Random stratified programs -- recursive positive cores topped with negation
-and aggregation strata -- run over random databases under all three plan
-execution modes.  Answers and the full work-counter dictionary must be
-bit-identical: the columnar batch executor's charging contract promises the
-exact ``fact_retrievals``/``distinct_facts``/firing sequence of the row
-executors, not just the same least model.
+and aggregation strata -- run over random databases under both plan
+execution modes and under the columnar mode with every firing forced
+through the row executor.  Answers and the full work-counter dictionary must
+be bit-identical: the columnar batch executor's charging contract promises
+the exact ``fact_retrievals``/``distinct_facts``/firing sequence of the
+interpreted reference executor, not just the same least model.
 """
 
 import random
@@ -16,14 +17,13 @@ from hypothesis import strategies as st
 from repro.datalog.database import Database
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_program
-from repro.datalog.plans import execution_mode
 from repro.datalog.semantics import answer_query
 from repro.engines import run_engine
 from repro.instrumentation import Counters
 
 BASE_PREDICATES = ["e", "f"]
 CONSTANTS = list(range(5))
-MODES = ("compiled", "interpreted", "columnar")
+MODES = ("interpreted", "columnar", "row-fallback")
 
 
 def random_database(seed: int, size: int) -> Database:
@@ -70,37 +70,34 @@ def random_stratified_program(seed: int) -> str:
     return "\n".join(lines)
 
 
-def _measure(engine: str, program, query, database, mode: str):
+def _measure(engine: str, program, query, database, cell, mode: str):
     counters = Counters()
     fresh = database.copy()
     fresh.reset_instrumentation(counters)
-    with execution_mode(mode):
+    with cell(mode):
         result = run_engine(engine, program, query, fresh, counters)
     return result.answers, counters.as_dict()
 
 
-class TestThreeExecutorAgreement:
+class TestExecutorAgreement:
     @given(
         program_seed=st.integers(min_value=0, max_value=300),
         data_seed=st.integers(min_value=0, max_value=300),
     )
     @settings(max_examples=50, deadline=None)
     def test_seminaive_modes_agree_on_stratified_programs(
-        self, program_seed, data_seed
+        self, program_seed, data_seed, execution_cell
     ):
         program = parse_program(random_stratified_program(program_seed))
         database = random_database(data_seed, size=6)
         query = Literal("q", ["X", "Y"])
         results = {
-            mode: _measure("seminaive", program, query, database, mode)
+            mode: _measure("seminaive", program, query, database, execution_cell, mode)
             for mode in MODES
         }
-        compiled_answers, compiled_counters = results["compiled"]
-        for mode in ("interpreted", "columnar"):
-            answers, counters = results[mode]
-            assert answers == compiled_answers, mode
-            assert counters == compiled_counters, mode
-        assert compiled_answers == answer_query(program, query, database)
+        assert results["columnar"] == results["interpreted"]
+        assert results["row-fallback"] == results["interpreted"]
+        assert results["columnar"][0] == answer_query(program, query, database)
 
     @given(
         program_seed=st.integers(min_value=0, max_value=150),
@@ -109,18 +106,15 @@ class TestThreeExecutorAgreement:
     )
     @settings(max_examples=30, deadline=None)
     def test_naive_modes_agree_on_bound_recursive_queries(
-        self, program_seed, data_seed, start
+        self, program_seed, data_seed, start, execution_cell
     ):
         program = parse_program(random_stratified_program(program_seed))
         database = random_database(data_seed, size=5)
         query = Literal("p", [start, "Y"])
         results = {
-            mode: _measure("naive", program, query, database, mode)
+            mode: _measure("naive", program, query, database, execution_cell, mode)
             for mode in MODES
         }
-        compiled_answers, compiled_counters = results["compiled"]
-        for mode in ("interpreted", "columnar"):
-            answers, counters = results[mode]
-            assert answers == compiled_answers, mode
-            assert counters == compiled_counters, mode
-        assert compiled_answers == answer_query(program, query, database)
+        assert results["columnar"] == results["interpreted"]
+        assert results["row-fallback"] == results["interpreted"]
+        assert results["columnar"][0] == answer_query(program, query, database)

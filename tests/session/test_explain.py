@@ -17,7 +17,6 @@ from repro.datalog.plans import (
 )
 from repro.instrumentation import Counters
 from repro.session import QuerySession
-from repro.stats import clear_stats_cache
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -49,7 +48,6 @@ def check_golden(name, actual):
 
 class TestExplainGolden:
     def setup_method(self):
-        clear_stats_cache()
         # Planner events are process-global; a cost-mode run elsewhere in
         # the suite would otherwise leak a "planner events:" section into
         # the golden transcript.

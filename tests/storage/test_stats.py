@@ -1,17 +1,14 @@
 """Statistics subsystem: derivation, COW sharing, invalidation, soundness."""
 
+import gc
 import random
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datalog.database import Database
-from repro.stats import (
-    MCV_WIDTH,
-    PlanStatistics,
-    clear_stats_cache,
-    table_stats,
-)
+from repro.stats import MCV_WIDTH, PlanStatistics, TableStats, table_stats
 from repro.storage import Interner, IntTable
 
 
@@ -23,9 +20,6 @@ def table_of(rows, arity=2):
 
 
 class TestDerivation:
-    def setup_method(self):
-        clear_stats_cache()
-
     def test_cardinality_and_distincts_are_exact(self):
         table = table_of([("a", 1), ("a", 2), ("b", 1), ("c", 1)])
         stats = table_stats(table)
@@ -68,9 +62,6 @@ class TestDerivation:
 
 
 class TestInvalidation:
-    def setup_method(self):
-        clear_stats_cache()
-
     def test_insert_patches_incrementally(self):
         table = table_of([("a", "b")])
         first = table_stats(table)
@@ -107,6 +98,18 @@ class TestInvalidation:
         assert diverged.cardinality == 3
         assert table_stats(table) is shared
         assert shared.cardinality == 2
+
+    def test_summary_lives_in_the_table_slot(self):
+        table = table_of([("a", "b")])
+        assert table.stats is None
+        stats = table_stats(table)
+        assert isinstance(stats, TableStats)
+        assert table.stats is stats
+        snap = table.snapshot()
+        assert snap.stats is stats
+        snap.add(("c", "d"))  # the copy-on-write unshare drops the summary
+        assert snap.stats is None
+        assert table.stats is stats
 
     def test_database_overlay_and_copy_see_their_own_stats(self):
         database = Database()
@@ -159,6 +162,28 @@ class TestInvalidation:
         assert plain.fingerprint(["e"]) != hinted.fingerprint(["e"])
 
 
+class TestLifetime:
+    def test_dropped_tables_release_their_stats(self):
+        # Regression: a process-wide cache keyed by row-map identity held
+        # every summarised table's row map and frequency dicts alive.
+        def summarise_and_drop():
+            database = Database.from_dict({"e": [(i, i + 1) for i in range(2000)]})
+            table_stats(database.relations["e"].table)
+
+        summarise_and_drop()  # warm the process-wide interner
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                summarise_and_drop()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024, f"{retained} bytes retained"
+
+
 ROW_STRATEGY = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7)
@@ -171,7 +196,6 @@ class TestSoundness:
     @given(rows=ROW_STRATEGY, seed=st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=80, deadline=None)
     def test_bounds_and_totals_on_random_tables(self, rows, seed):
-        clear_stats_cache()
         table = table_of(rows)
         stats = table_stats(table)
         distinct_rows = set(rows)
@@ -196,13 +220,12 @@ class TestSoundness:
     @given(rows=ROW_STRATEGY)
     @settings(max_examples=40, deadline=None)
     def test_incremental_patch_equals_rebuild(self, rows):
-        clear_stats_cache()
         table = table_of(rows[: len(rows) // 2])
         table_stats(table)  # summarise the prefix
         for row in rows[len(rows) // 2 :]:
             table.add(row)
         patched = table_stats(table)
-        clear_stats_cache()
+        table.stats = None  # force a from-scratch rebuild
         rebuilt = table_stats(table)
         assert patched.cardinality == rebuilt.cardinality
         for position in (0, 1):
