@@ -1,29 +1,31 @@
-"""Scaling benchmark for the parallel fixpoint scheduler.
+"""Scaling benchmark for the parallel fixpoint offload.
 
 Runs the same workload matrix twice in the *same* tree -- once at
 ``set_parallelism(1)`` (the sequential oracle path) and once at
-``set_parallelism(4)`` -- under the columnar executor and kernel storage,
-and reports per-cell speedups into ``BENCH_parallel.json``.
+``set_parallelism(min(4, os.cpu_count()))`` -- under the columnar executor
+and kernel storage, and reports per-cell speedups into
+``BENCH_parallel.json``.
 
 ``threshold`` cells are transitive closures of sparse random digraphs with
 over a million derived rows each: every path tuple is re-derived several
 times (``fact_retrievals`` runs 3-6x ``derived_tuples``), so the join *and*
 the duplicate pruning -- the bulk of the evaluation -- execute on the fork
 pool, while the parent's serial share is one bulk merge of the novel rows.
-The 4-worker pass must reach ``PARALLEL_THRESHOLD`` (2.5x).  ``guard``
-cells are shapes the scheduler must leave alone -- a right-linear chain
-(shard-ineligible, single SCC) and a sub-threshold wide closure -- which
-must never regress below ``GUARD_FLOOR`` (0.9x): parallelism that is not
-engaged must cost nothing.  The ``info`` cell is the adversarial extreme
-kept honest in the report: disjoint chains derive every tuple exactly once,
-so nearly all its cost is the parent's serial insert and sharding cannot
-pay for itself; it is never gated.
+On a 4-CPU host the 4-worker pass must reach ``PARALLEL_THRESHOLD``
+(2.5x).  ``guard`` cells are shapes the offload must leave alone -- a
+right-linear chain (ineligible) and a closure whose seed delta is below
+the 4096-row threshold -- which must never regress below ``GUARD_FLOOR``
+(0.9x): parallelism that is not engaged must cost nothing.  Two ``info``
+cells are reported but never gated: disjoint chains derive every tuple
+exactly once, so nearly all their cost is the parent's serial insert and
+the offload cannot pay for itself; and two independent threshold-sized
+closures plus a join in one stratum, which offload one after the other
+while the join runs in process.
 
 The speedup gate is only meaningful on a multi-core host.  The report
-records ``os.cpu_count()``; when fewer than 4 CPUs are available (or fork
-is unavailable) ``--strict`` downgrades threshold misses to informational
--- the committed JSON from a single-core container documents the overhead
-floor, CI's 4-vCPU runners enforce the scaling claim.
+records ``os.cpu_count()`` and the worker count; when fewer than 4 CPUs
+are available (or fork is unavailable) ``--strict`` downgrades threshold
+misses to informational -- CI's 4-vCPU runners enforce the scaling claim.
 
 Answers are cross-checked between the two passes, and the measurement
 protocol (alternating subprocess passes, per-cell minimum, gc enabled) is
@@ -46,9 +48,9 @@ from helpers import (
     write_report,
 )
 
-#: 4-vs-1-worker speedup floor for the wide-TC cells (enforced on >=4 CPUs)
+#: 4-vs-1-worker speedup floor for the threshold cells (enforced on >=4 CPUs)
 PARALLEL_THRESHOLD = 2.5
-#: no benchmarked family may regress below this at 4 workers
+#: no guard cell may regress below this in the parallel pass
 GUARD_FLOOR = 0.9
 
 
@@ -77,6 +79,20 @@ def _wide_tc(chains: int, length: int):
     return program, database, parse_literal("path(X, Y)")
 
 
+def _random_edges(nodes: int, edges: int, seed: int) -> set:
+    """``edges`` distinct non-loop pairs over ``nodes`` nodes (fixed seed)."""
+    import random
+
+    rng = random.Random(seed)
+    pairs = set()
+    while len(pairs) < edges:
+        a = rng.randrange(nodes)
+        b = rng.randrange(nodes)
+        if a != b:
+            pairs.add((a, b))
+    return pairs
+
+
 def _random_tc(nodes: int, edges: int, seed: int):
     """Left-linear closure of a sparse random digraph (fixed seed).
 
@@ -85,23 +101,40 @@ def _random_tc(nodes: int, edges: int, seed: int):
     dominant cost is join-plus-dedup, which the fixpoint offload runs
     entirely on the pool.
     """
-    import random
-
     from repro.datalog.database import Database
     from repro.datalog.parser import parse_literal, parse_program
 
-    rng = random.Random(seed)
     program = parse_program(_TC_PROGRAM)
-    pairs = set()
-    while len(pairs) < edges:
-        a = rng.randrange(nodes)
-        b = rng.randrange(nodes)
-        if a != b:
-            pairs.add((a, b))
     database = Database()
-    for a, b in pairs:
+    for a, b in _random_edges(nodes, edges, seed):
         database.add_fact("edge", (a, b))
     return program, database, parse_literal("path(X, Y)")
+
+
+def _twin_tc(nodes: int, edges: int):
+    """Two independent left-linear closures and a join above them.
+
+    Both closures are over ``nodes``-node random digraphs with ``edges``
+    edges each (different seeds), so each seed delta clears the offload
+    threshold; all three components share one stratum.
+    """
+    from repro.datalog.database import Database
+    from repro.datalog.parser import parse_literal, parse_program
+
+    program = parse_program(
+        """
+        reach_a(X, Y) :- edge_a(X, Y).
+        reach_a(X, Z) :- reach_a(X, Y), edge_a(Y, Z).
+        reach_b(X, Y) :- edge_b(X, Y).
+        reach_b(X, Z) :- reach_b(X, Y), edge_b(Y, Z).
+        both(X, Y) :- reach_a(X, Y), reach_b(X, Y).
+        """
+    )
+    database = Database()
+    for predicate, seed in (("edge_a", 3), ("edge_b", 5)):
+        for pair in _random_edges(nodes, edges, seed):
+            database.add_fact(predicate, pair)
+    return program, database, parse_literal("both(X, Y)")
 
 
 def cell_matrix():
@@ -112,16 +145,17 @@ def cell_matrix():
         # -- threshold cells: >=1M derived rows, duplicate-heavy ------------
         "tc-rand-1100x6600/seminaive": (lambda: _random_tc(1100, 6600, 11), "threshold"),
         "tc-rand-1300x5200/seminaive": (lambda: _random_tc(1300, 5200, 7), "threshold"),
-        # -- info cell: zero-duplication worst case, reported but not gated -
+        # -- info cells: reported but not gated ----------------------------
         "tc-wide-2000x40/seminaive": (lambda: _wide_tc(2000, 40), "info"),
-        # -- guard cells: the scheduler must not engage, and must not cost --
+        "tc-twin-700x4200/seminaive": (lambda: _twin_tc(700, 4200), "info"),
+        # -- guard cells: the offload must not engage, and must not cost ----
         "tc-chain-600/seminaive": (lambda: chain(600), "guard"),
         "tc-wide-40x40/seminaive": (lambda: _wide_tc(40, 40), "guard"),
     }
 
 
 def run_pass(flavour: str, repeats: int) -> dict:
-    """Measure every cell at ``flavour`` workers ("1" or "4")."""
+    """Measure every cell at ``flavour`` workers (a decimal count)."""
     from repro.datalog.plans import execution_mode
     from repro.engines import run_engine
     from repro.instrumentation import Counters
@@ -159,7 +193,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output", default="BENCH_parallel.json")
     parser.add_argument("--rounds", type=int, default=3,
-                        help="alternating 1-worker/4-worker measurement rounds")
+                        help="alternating 1-worker/N-worker measurement rounds, "
+                        "N = min(4, CPU count)")
     parser.add_argument("--repeats", type=int, default=2,
                         help="best-of repeats inside each measurement pass")
     parser.add_argument("--strict", action="store_true",
@@ -167,8 +202,8 @@ def main() -> int:
                         "(threshold cells only gate on hosts with >=4 CPUs)")
     parser.add_argument(
         "--measure-only",
-        choices=["1", "4"],
         default=None,
+        metavar="WORKERS",
         help="internal: print one measurement pass as JSON and exit",
     )
     args = parser.parse_args()
@@ -181,11 +216,12 @@ def main() -> int:
     from repro.parallel import fork_available
 
     here = repo_src()
+    workers = min(4, os.cpu_count() or 1)
     before, after = alternating_passes(
         __file__,
         args.rounds,
         (here, "1"),
-        (here, "4"),
+        (here, str(workers)),
         ("--repeats", str(args.repeats)),
     )
     check_answer_parity(before, after)
@@ -222,8 +258,9 @@ def main() -> int:
 
     report = {
         "meta": {
-            "comparison": "same tree, 1 vs 4 workers (columnar + kernel)",
+            "comparison": f"same tree, 1 vs {workers} workers (columnar + kernel)",
             "cpu_count": cpu_count,
+            "workers": workers,
             "fork_available": fork_available(),
             "scaling_gate_enforced": scaling_host,
             "rounds": args.rounds,
@@ -239,7 +276,7 @@ def main() -> int:
     write_report(args.output, report)
 
     width = max(len(cell) for cell in results)
-    print(f"{'cell'.ljust(width)}  1-worker_s  4-worker_s  speedup  target")
+    print(f"{'cell'.ljust(width)}  1-worker_s  {workers}-worker_s  speedup  target")
     for cell, row in sorted(results.items()):
         gate = (
             f">={row['target']:.1f}x"

@@ -1,16 +1,18 @@
-"""Parallel and sharded fixpoint evaluation over columnar batches.
+"""Parallel fixpoint evaluation: the whole-fixpoint offload.
 
-Evaluates a two-relation reachability program whose single stratum holds
-three SCCs (two independent closures plus a join-closure above them) --
-exactly the shape the parallel stratum scheduler exploits: independent
-components run concurrently on copy-on-write overlays (Level 1), and
-shard-eligible delta rounds fan out over a fork worker pool (Level 2).
+Evaluates the left-linear transitive closure of many short disjoint chains.
+The closure's only delta plan, ``path(X, Z) :- path(X, Y), edge(Y, Z)``,
+carries ``X`` from the recursive literal to the head unchanged, so the
+fixpoint partitions by ``X``: with ``set_parallelism(n)`` for ``n > 1`` and
+a seed delta of at least 4096 rows, each of ``n`` forked workers runs every
+delta round of its partition and the parent merges the new rows once.
 
-The point of the demo is the invariant, not the speed-up: whatever the
-worker count, answers and work counters are identical to the sequential
-run, which stays the differential oracle.
+The point of the demo is the invariant, not the speed-up (thousands of
+short chains derive every row exactly once, the shape that gains least):
+whatever the worker count, answers and work counters are identical to the
+sequential run, which stays the differential oracle.
 
-Run with:  python examples/parallel_fixpoint.py [n]
+Run with:  python examples/parallel_fixpoint.py [chain length, at least 5]
 """
 
 import sys
@@ -20,29 +22,29 @@ from repro.datalog.database import Database
 from repro.datalog.parser import parse_literal, parse_program
 from repro.datalog.plans import execution_mode
 from repro.engines import run_engine
-from repro.engines.runtime import set_shard_min_rows
 from repro.parallel import fork_available
 
 PROGRAM = """
-    reach_a(X, Y) :- edge_a(X, Y).
-    reach_a(X, Z) :- reach_a(X, Y), edge_a(Y, Z).
-    reach_b(X, Y) :- edge_b(X, Y).
-    reach_b(X, Z) :- reach_b(X, Y), edge_b(Y, Z).
-    joint(X, Y) :- reach_a(X, Y), reach_b(X, Y).
-    joint(X, Z) :- joint(X, Y), reach_a(Y, Z).
+    path(X, Y) :- edge(X, Y).
+    path(X, Z) :- path(X, Y), edge(Y, Z).
 """
 
+#: Enough chains that the seed delta (one ``path`` row per edge) clears the
+#: offload's 4096-row threshold at any chain length from 5 up.
+CHAINS = 1000
 
-def build(n):
+
+def build(length):
     database = Database()
-    for i in range(n):
-        database.add_fact("edge_a", (i, i + 1))
-        database.add_fact("edge_b", (i, (i + 1) % (n + 1)))
-    return parse_program(PROGRAM), database, parse_literal("joint(X, Y)")
+    for chain in range(CHAINS):
+        base = chain * (length + 1)
+        for i in range(length):
+            database.add_fact("edge", (base + i, base + i + 1))
+    return parse_program(PROGRAM), database, parse_literal("path(X, Y)")
 
 
-def evaluate(workers, n):
-    program, database, query = build(n)
+def evaluate(workers, length):
+    program, database, query = build(length)
     previous = set_parallelism(workers)
     try:
         with execution_mode("columnar"):
@@ -53,34 +55,31 @@ def evaluate(workers, n):
 
 
 def main() -> None:
-    n = int(sys.argv[1]) if len(sys.argv) > 1 else 120
-    # Shard every delta round, not just the big ones, so a small demo
-    # exercises the same machinery as a multi-million-row run.
-    threshold = set_shard_min_rows(1)
-    try:
-        sequential = evaluate(1, n)
-        parallel = evaluate(4, n)
-    finally:
-        set_shard_min_rows(threshold)
+    length = max(5, int(sys.argv[1]) if len(sys.argv) > 1 else 12)
+    sequential = evaluate(1, length)
+    parallel = evaluate(2, length)
 
-    print(f"Parallel fixpoint demo (n = {n}, fork available: {fork_available()})")
+    print(
+        f"Parallel fixpoint demo ({CHAINS} chains of {length} edges, "
+        f"fork available: {fork_available()})"
+    )
     print(f"  answers:      {len(sequential.answers)} rows")
     print(f"  seq counters: {sequential.counters}")
     print(f"  par counters: {parallel.counters}")
     stats = parallel.batch_stats
     print(
         f"  par batches:  {stats.batches} "
-        f"(shards: {stats.shards}, merge: {stats.merge_seconds * 1000:.1f} ms)"
+        f"(worker tasks: {stats.shards}, merge: {stats.merge_seconds * 1000:.1f} ms)"
     )
     same_answers = parallel.answers == sequential.answers
     same_counters = parallel.counters == sequential.counters
     print(f"  answers identical:  {'yes' if same_answers else 'NO'}")
     print(f"  counters identical: {'yes' if same_counters else 'NO'}")
     print(
-        "\nLevel 1 ran reach_a and reach_b concurrently (one thread per SCC,\n"
-        "merged in evaluation order); Level 2 hash-sharded each left-linear\n"
-        "delta round across the fork pool.  Both replay the sequential\n"
-        "charging contract exactly -- the counters above must match."
+        "\nWith fork available, the 2-worker run partitions the seed delta by X\n"
+        "and runs each partition's delta rounds to completion in a forked\n"
+        "worker (2 tasks, one merge); it replays the sequential charging\n"
+        "contract exactly -- the counters above must match."
     )
 
 

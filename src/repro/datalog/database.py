@@ -21,7 +21,6 @@ every engine on every workload family.
 
 from __future__ import annotations
 
-import threading
 from itertools import repeat as _repeat
 from typing import (
     Dict,
@@ -244,11 +243,6 @@ class Database:
         # validated per call by adjacency-dict identity (a cloned or unshared
         # table gets a fresh adjacency dict, so a stale context self-detects).
         self._image_ctx: Dict[Tuple[str, int], tuple] = {}
-        # Set (by ``overlay(..., share_touched=True)``) when several overlay
-        # databases charge retrievals against one shared ``_touched`` set
-        # concurrently -- the parallel SCC scheduler's arrangement for exact
-        # distinct-fact totals.  ``None`` keeps sequential charging lock-free.
-        self._charge_lock: Optional[threading.Lock] = None
 
     # -- construction -------------------------------------------------------
 
@@ -258,7 +252,6 @@ class Database:
         base: "Database",
         counters: Optional[Counters] = None,
         exclude: Iterable[str] = (),
-        share_touched: bool = False,
     ) -> "Database":
         """A copy-on-write view over ``base``.
 
@@ -273,13 +266,6 @@ class Database:
         the stratified resume path uses this to discard the derived relations
         of every stratum at or above the restart point while still sharing
         the kept relations copy-on-write.
-
-        ``share_touched=True`` makes the overlay charge distinct-fact growth
-        against the *base's* touched set, under a lock shared by every such
-        overlay (created on the base on first use).  This is what keeps the
-        ``distinct_facts`` total exact when several overlays evaluate
-        concurrently: the count is the growth of one union, not the sum of
-        per-overlay unions that could double-count shared buckets.
         """
         db = cls(counters=counters)
         if exclude:
@@ -294,35 +280,7 @@ class Database:
         # journal: creating it stays O(1), and history before the handoff is
         # answered by the base, not the overlay.
         db._journal_base = base.version
-        if share_touched:
-            lock = base._charge_lock
-            if lock is None:
-                lock = base._charge_lock = threading.Lock()
-            db._touched = base._touched
-            db._charge_lock = lock
         return db
-
-    def absorb_overlay(self, overlay: "Database") -> None:
-        """Adopt an overlay's writes back into this database, in order.
-
-        The deterministic merge half of parallel SCC scheduling: ``overlay``
-        was created by :meth:`overlay` over this database and evaluated
-        (insertions only -- forward fixpoint evaluation never deletes).
-        Relations the overlay never wrote are still the very same objects
-        and are left alone; cloned or newly-created ones replace this
-        database's entries wholesale (a clone already contains every base
-        row).  The overlay's journal is appended to this journal, so calling
-        this in evaluation order reproduces the exact journal -- and version
-        number -- sequential evaluation would have produced.
-        """
-        for predicate, relation in overlay.relations.items():
-            if self.relations.get(predicate) is relation:
-                continue
-            self.relations[predicate] = relation
-            self._shared.discard(predicate)
-            if self._charged:
-                self._charged.pop(predicate, None)
-        self._journal.extend(overlay._journal)
 
     def add_fact(self, predicate: str, values: Iterable[object]) -> bool:
         """Add a single fact; returns True when it is new."""
@@ -744,16 +702,9 @@ class Database:
             rows = list(rows)
         counters.fact_retrievals += len(rows)
         if rows:
-            lock = self._charge_lock
-            if lock is None:
-                before = len(touched)
-                touched.update(zip(_repeat(predicate), rows))
-                counters.distinct_facts += len(touched) - before
-            else:
-                with lock:
-                    before = len(touched)
-                    touched.update(zip(_repeat(predicate), rows))
-                    counters.distinct_facts += len(touched) - before
+            before = len(touched)
+            touched.update(zip(_repeat(predicate), rows))
+            counters.distinct_facts += len(touched) - before
 
     def reset_instrumentation(self, counters: Optional[Counters] = None) -> None:
         """Start a fresh measurement (optionally swapping the counter object)."""

@@ -474,52 +474,39 @@ _SHARD_UNSET = object()
 
 
 class ShardRecipe:
-    """Delta-sharding metadata for a two-step delta-first plan.
+    """Fixpoint-offload metadata for a two-step delta-first plan.
 
     Computed once per plan (and plans are cached per delta variant in the
-    plan cache, so this is per-variant work, not per-round work): the
-    parallel runtime partitions the per-round delta rows by the interned
-    code at ``lead_position`` -- the delta column that binds the plan's
-    leading join key -- and each worker evaluates its partition through the
-    ordinary :meth:`JoinPlan.head_batch` against the frozen main database.
+    plan cache, so this is per-variant work, not per-round work).  The
+    parallel runtime partitions a component's seed delta by the interned
+    code at ``invariant_position`` and lets each worker run its partition's
+    delta rounds to completion through the ordinary
+    :meth:`JoinPlan.head_batch` against the frozen main database.
 
     A recipe exists only for the shapes whose observable charging the
-    parent can reconstruct exactly (see the runtime's shard executor):
+    parent can reconstruct exactly (see the runtime's fixpoint merge):
     SAFE two-step plans driving from the delta (step 0 ``SOURCE_DERIVED``)
-    into a keyed probe of one main-database relation (step 1
-    ``SOURCE_MAIN``), with no negations anywhere and no filters or
-    intra-row equalities on the probe step.  Those constraints make the
-    step-0 scan unobservable (the delta is runtime scratch), and make
-    ``fact_retrievals`` for the probe step equal the number of head rows
-    produced -- every probed bucket row yields exactly one head row.
+    into a probe of one main-database relation (step 1 ``SOURCE_MAIN``)
+    keyed by a column the delta binds, with no negations anywhere and no
+    filters or intra-row equalities on the probe step.  Those constraints
+    make the step-0 scan unobservable (the delta is runtime scratch), and
+    make ``fact_retrievals`` for the probe step equal the number of head
+    rows produced -- every probed bucket row yields exactly one head row.
 
-    ``invariant_position`` additionally marks a column the recursion
-    carries through unchanged: the rule is self-recursive (the head
-    predicate is the delta predicate) and the head copies the variable the
-    delta binds at that position *at the same position*.  Rows then never
-    mix across distinct values of that column, so the whole fixpoint
-    partitions by it -- each worker can run its partition's delta rounds
-    to completion locally, with no per-round synchronisation (the
-    runtime's fixpoint-sharding fast path).  ``None`` when no such column
-    exists; per-round sharding by ``lead_position`` still applies.
+    ``invariant_position`` marks a column the recursion carries through
+    unchanged: the rule is self-recursive (the head predicate is the delta
+    predicate) and the head copies the variable the delta binds at that
+    position *at the same position*.  Rows then never mix across distinct
+    values of that column, so the whole fixpoint partitions by it with no
+    per-round synchronisation.
     """
 
-    __slots__ = (
-        "delta_predicate",
-        "lead_position",
-        "probe_predicate",
-        "invariant_position",
-    )
+    __slots__ = ("delta_predicate", "probe_predicate", "invariant_position")
 
     def __init__(
-        self,
-        delta_predicate: str,
-        lead_position: int,
-        probe_predicate: str,
-        invariant_position: "Optional[int]" = None,
+        self, delta_predicate: str, probe_predicate: str, invariant_position: int
     ):
         self.delta_predicate = delta_predicate
-        self.lead_position = lead_position
         self.probe_predicate = probe_predicate
         self.invariant_position = invariant_position
 
@@ -598,7 +585,7 @@ class JoinPlan:
         # Valid while the scanned table object is unchanged; the cached
         # lists are shared read-only (filters rebind, never mutate).
         self._scan0 = None
-        # Delta-sharding analysis, built lazily on first use (see
+        # Fixpoint-offload analysis, built lazily on first use (see
         # :meth:`shard_recipe`).
         self._shard = _SHARD_UNSET
 
@@ -930,12 +917,12 @@ class JoinPlan:
         return info
 
     def shard_recipe(self) -> Optional[ShardRecipe]:
-        """The delta-sharding recipe, or ``None`` when not shardable (cached).
+        """The fixpoint-offload recipe, or ``None`` when ineligible (cached).
 
         See :class:`ShardRecipe` for the eligible shape.  The analysis runs
         once per plan object; since delta-variant plans are cached in the
-        plan cache, the per-round cost of the parallel runtime's shard
-        dispatch is a single attribute read.
+        plan cache, the runtime's eligibility check is a single attribute
+        read.
         """
         recipe = self._shard
         if recipe is _SHARD_UNSET:
@@ -948,6 +935,7 @@ class JoinPlan:
         if binfo is None:
             binfo = self._build_batch_info()
         steps = self.steps
+        head = self.head
         if (
             binfo.shape != _SHAPE_SAFE
             or len(steps) != 2
@@ -958,37 +946,19 @@ class JoinPlan:
             or steps[1].neg_checks
             or steps[1].checks
             or steps[1].intra_eq
+            or head is None
+            or head.predicate != steps[0].predicate
+            or len(self.head_template) != len(head.args)
         ):
             return None
-        info1 = binfo.steps[1]
-        if not info1.key_slots:
+        key_slots = binfo.steps[1].key_slots
+        bound_at = dict(steps[0].outputs)
+        if not key_slots or key_slots[0] not in bound_at.values():
             return None
-        lead_slot = info1.key_slots[0]
-        lead_position = None
-        for position, slot in steps[0].outputs:
-            if slot == lead_slot:
-                lead_position = position
-                break
-        if lead_position is None:
-            return None
-        invariant_position = None
-        head = self.head
-        if (
-            head is not None
-            and head.predicate == steps[0].predicate
-            and len(self.head_template) == len(head.args)
-        ):
-            bound_at = dict(steps[0].outputs)
-            for position, (slot, _value) in enumerate(self.head_template):
-                if slot is not None and bound_at.get(position) == slot:
-                    invariant_position = position
-                    break
-        return ShardRecipe(
-            steps[0].predicate,
-            lead_position,
-            steps[1].predicate,
-            invariant_position,
-        )
+        for position, (slot, _value) in enumerate(self.head_template):
+            if slot is not None and bound_at.get(position) == slot:
+                return ShardRecipe(steps[0].predicate, steps[1].predicate, position)
+        return None
 
     def head_batch(
         self,

@@ -45,11 +45,12 @@ class BatchStats:
         the optimistic batch of a self-feeding plan was discarded by the
         probe-overlap verification.
     shards:
-        Delta shards executed by worker processes (``repro.parallel``); zero
-        under sequential evaluation.
+        Worker tasks of the parallel fixpoint offload (``repro.parallel``):
+        one per worker for every component whose delta rounds ran on the
+        pool; zero under sequential evaluation.
     merge_seconds:
-        Wall-clock seconds the parent spent decoding and merging shard
-        results (the sequential portion of the sharded rounds).
+        Wall-clock seconds the parent spent decoding and merging the
+        offloaded fixpoints' results (their serial portion).
     nodes:
         Per-plan-node counters: node key -> ``[batches, rows_in, rows_out]``
         where the key names the head predicate, step index and scanned
@@ -190,11 +191,9 @@ class Counters:
     def absorb(self, other: "Counters") -> None:
         """Fold ``other`` into this bundle in place.
 
-        Every counter is a commutative sum, so folding per-component bundles
-        back into the caller's bundle in evaluation order yields exactly the
-        totals sequential evaluation would have produced -- this is what the
-        parallel stratum scheduler (:mod:`repro.engines.runtime`) relies on
-        when independent SCCs of a stratum charge their own bundles.
+        Every counter is a commutative sum, so folding the bundles of many
+        evaluations into one totals their work, batch telemetry included --
+        how benchmark harnesses aggregate the counters of a run's queries.
         """
         self.fact_retrievals += other.fact_retrievals
         self.distinct_facts += other.distinct_facts

@@ -1,34 +1,33 @@
-"""Process parallelism: the ``set_parallelism`` switch and a fork worker pool.
+"""Process parallelism: the ``set_parallelism`` setting and a fork worker pool.
 
-The bottom-up strategies are embarrassingly parallel *within* a seminaive
-round: every rule firing of round ``r`` reads a frozen snapshot of rounds
-``< r``, so the per-round delta can be partitioned and the partitions joined
-independently before a deterministic merge.  This module provides the two
-process-level building blocks that :mod:`repro.engines.runtime` (sharded
-fixpoint rounds) and :mod:`repro.lint` (parallel corpus linting) share:
+Evaluation runs on the caller's thread.  Parallelism is fork-only, and it
+has two users: the whole-fixpoint offload of :mod:`repro.engines.runtime`
+and parallel corpus linting in :mod:`repro.lint`.  This module holds what
+they share:
 
 ``set_parallelism(n)`` / ``parallelism()``
-    A zero-API-change switch.  The default (``1``, overridable through the
-    ``REPRO_PARALLELISM`` environment variable) keeps every evaluation on
-    the historical sequential path, which stays the differential oracle and
-    keeps the paper-sample counter pins bit-identical.  Any ``n > 1`` arms
-    the two concurrency levels in the runtime scheduler; answers and
-    aggregated :class:`~repro.instrumentation.Counters` are guaranteed
-    identical either way (see ``tests/engines/test_parallel_differential``).
+    How many cores the process may use.  The default (``1``, overridable
+    through the ``REPRO_PARALLELISM`` environment variable) keeps every
+    evaluation on the sequential path, which stays the differential oracle
+    and keeps the paper-sample counter pins bit-identical.  With ``n > 1``
+    a component whose delta rounds are one left-linear plan with an
+    invariant column, over a seed delta of at least 4096 rows, runs its
+    fixpoint on ``n`` forked workers; answers and
+    :class:`~repro.instrumentation.Counters` are identical either way (see
+    ``tests/engines/test_parallel_differential``).
 
 :class:`WorkerPool`
-    A persistent pool of fork-spawned worker processes talking over pipes.
-    Fork is essential, not incidental: workers inherit the parent's
-    interner, databases and compiled plans as copy-on-write memory, so a
-    task only has to name them (an index, a predicate) plus the dense
-    ``array('q')`` code columns of the rows it should process.  Workers are
-    probe-only -- they never write back into inherited state that the parent
-    reads -- and results are collected and merged in task order, so worker
-    timing never leaks into observable output.
+    A pool of fork-spawned worker processes talking over pipes.  Fork is
+    essential, not incidental: workers inherit the parent's interner,
+    databases and compiled plans as copy-on-write memory, so a task only
+    has to name them plus the dense ``array('q')`` code columns of the rows
+    it should process.  Workers are probe-only -- they never write back
+    into inherited state that the parent reads -- and results are collected
+    in task order, so worker timing never leaks into observable output.
 
-On platforms without ``fork`` (Windows, some macOS configurations) the pool
-reports itself unavailable and every caller falls back to the sequential
-path; no functionality is lost, only the speedup.
+On platforms without ``fork`` (Windows, some macOS configurations), or when
+forking fails, the pool raises :class:`WorkerError` and every caller falls
+back to the sequential path; no functionality is lost, only the speedup.
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ def fork_available() -> bool:
 # -- task registry ----------------------------------------------------------
 #
 # Handlers are registered at import time by the modules that own them (the
-# runtime registers the shard-join task, the linter registers the lint task).
+# runtime registers the fixpoint task, the linter registers the lint task).
 # Because workers are forked *after* those imports, children inherit the
 # registry -- nothing is pickled except the per-task payload.
 
@@ -114,7 +113,10 @@ def pool_state() -> Any:
 
 
 class WorkerError(RuntimeError):
-    """A task raised inside a worker; carries the remote traceback text."""
+    """The pool could not fork, or a task failed; carries the reason.
+
+    A failed task carries the remote traceback text.
+    """
 
 
 def _worker_main(conn: multiprocessing.connection.Connection) -> None:
@@ -138,7 +140,7 @@ def _worker_main(conn: multiprocessing.connection.Connection) -> None:
 
 
 class WorkerPool:
-    """A persistent pool of forked, probe-only worker processes.
+    """A pool of forked, probe-only worker processes.
 
     Parameters
     ----------
@@ -149,8 +151,10 @@ class WorkerPool:
         forking, so children inherit it; handlers read it back through
         :func:`pool_state`.  The parent must keep whatever invariants the
         handlers rely on (e.g. "these relations are frozen") for the pool's
-        lifetime, or tear the pool down -- see ``valid_for``-style checks in
-        the callers.
+        lifetime.
+
+    Raises :class:`WorkerError` when fork is unavailable or a worker cannot
+    be started; the workers already started are shut down and reaped first.
     """
 
     def __init__(self, workers: int, state: Any = None) -> None:
@@ -158,7 +162,6 @@ class WorkerPool:
             raise WorkerError("fork start method unavailable on this platform")
         global _CHILD_STATE
         self.workers = workers
-        self.state = state
         self._conns: List[multiprocessing.connection.Connection] = []
         self._procs: List[BaseProcess] = []
         context = multiprocessing.get_context("fork")
@@ -166,22 +169,23 @@ class WorkerPool:
         try:
             for _ in range(workers):
                 parent_conn, child_conn = context.Pipe()
+                self._conns.append(parent_conn)
                 proc = context.Process(
                     target=_worker_main, args=(child_conn,), daemon=True
                 )
-                proc.start()
-                child_conn.close()
-                self._conns.append(parent_conn)
+                try:
+                    proc.start()
+                finally:
+                    child_conn.close()
                 self._procs.append(proc)
+        except OSError as exc:
+            started = len(self._procs)
+            self.close()
+            raise WorkerError(
+                f"could not start worker {started + 1} of {workers}"
+            ) from exc
         finally:
             _CHILD_STATE = None
-
-    def __len__(self) -> int:
-        return self.workers
-
-    @property
-    def alive(self) -> bool:
-        return bool(self._procs) and all(proc.is_alive() for proc in self._procs)
 
     def run(self, tasks: Sequence[Tuple[str, Any]]) -> List[Any]:
         """Run ``tasks`` across the pool; results come back in task order.

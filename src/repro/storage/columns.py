@@ -58,7 +58,7 @@ def extern_columns(table, positions: Tuple[int, ...]) -> List[list]:
 class _DbCharges:
     """Buffered charges against one database (one side of a batch scan)."""
 
-    __slots__ = ("db", "retrievals", "distinct", "touched", "memo", "lock")
+    __slots__ = ("db", "retrievals", "distinct", "touched", "memo")
 
     def __init__(self, db):
         self.db = db
@@ -68,10 +68,6 @@ class _DbCharges:
         self.touched: List[Tuple[str, Row]] = []
         # (predicate, token) -> (bucket size, mutation epoch) memo updates.
         self.memo: Dict[Tuple[str, object], Tuple[int, int]] = {}
-        # Non-None when the database's touched set is shared with sibling
-        # overlays evaluating concurrently (parallel SCC scheduling); every
-        # mutation of that set must then hold the lock.
-        self.lock = db._charge_lock
 
 
 class PendingCharges:
@@ -150,20 +146,11 @@ class PendingCharges:
             rows = list(rows)
         db_touched = pending.db._touched
         new_keys = set(zip(_repeat(predicate), rows))
-        lock = pending.lock
-        if lock is None:
-            new_keys -= db_touched
-            if new_keys:
-                db_touched |= new_keys
-                pending.touched.extend(new_keys)
-                pending.distinct += len(new_keys)
-        else:
-            with lock:
-                new_keys -= db_touched
-                if new_keys:
-                    db_touched |= new_keys
-                    pending.touched.extend(new_keys)
-                    pending.distinct += len(new_keys)
+        new_keys -= db_touched
+        if new_keys:
+            db_touched |= new_keys
+            pending.touched.extend(new_keys)
+            pending.distinct += len(new_keys)
         pending.retrievals += len(rows)
 
     def commit(self) -> None:
@@ -184,14 +171,8 @@ class PendingCharges:
         """Drop every buffered charge, undoing the speculative touches."""
         for pending in self._by_db.values():
             db_touched = pending.db._touched
-            lock = pending.lock
-            if lock is None:
-                for key in pending.touched:
-                    db_touched.discard(key)
-            else:
-                with lock:
-                    for key in pending.touched:
-                        db_touched.discard(key)
+            for key in pending.touched:
+                db_touched.discard(key)
         self._by_db.clear()
 
 
@@ -291,7 +272,6 @@ class KernelProbe:
         "index",
         "counters",
         "touched",
-        "lock",
         "charged",
         "mutations",
         "predicate",
@@ -313,10 +293,6 @@ class KernelProbe:
             self.index = table._index_for(pos_set)
         self.counters = db.counters
         self.touched = db._touched
-        # Serialises touched-set growth when the database shares it with
-        # sibling overlays evaluating concurrently; None on the (lock-free)
-        # sequential path.
-        self.lock = db._charge_lock
         charged = db._charged.get(relation.name)
         if charged is None:
             charged = db._charged[relation.name] = {}
@@ -366,18 +342,10 @@ class KernelProbe:
             counters.fact_retrievals += stamp[0]
             return rows
         touched = self.touched
-        lock = self.lock
-        if lock is None:
-            before = len(touched)
-            touched.update(zip(_repeat(self.predicate), rows))
-            grown = len(touched) - before
-        else:
-            with lock:
-                before = len(touched)
-                touched.update(zip(_repeat(self.predicate), rows))
-                grown = len(touched) - before
+        before = len(touched)
+        touched.update(zip(_repeat(self.predicate), rows))
         counters.fact_retrievals += stamp[0]
-        counters.distinct_facts += grown
+        counters.distinct_facts += len(touched) - before
         self.charged[token] = stamp
         return rows
 
@@ -406,7 +374,6 @@ class BufferedProbe:
         "pending",
         "base_charged",
         "db_touched",
-        "lock",
         "local",
     )
 
@@ -428,7 +395,6 @@ class BufferedProbe:
         # writes db._charged until commit), so snapshot the view once.
         self.base_charged = db._charged.get(relation.name) or _NO_BINDINGS
         self.db_touched = db._touched
-        self.lock = db._charge_lock
         # Per-batch key memo, exactly as on :class:`KernelProbe`.
         self.local = {}
 
@@ -468,20 +434,11 @@ class BufferedProbe:
             return rows
         db_touched = self.db_touched
         new_keys = set(zip(_repeat(self.predicate), rows))
-        lock = self.lock
-        if lock is None:
-            new_keys -= db_touched
-            if new_keys:
-                db_touched |= new_keys
-                pending.touched.extend(new_keys)
-                pending.distinct += len(new_keys)
-        else:
-            with lock:
-                new_keys -= db_touched
-                if new_keys:
-                    db_touched |= new_keys
-                    pending.touched.extend(new_keys)
-                    pending.distinct += len(new_keys)
+        new_keys -= db_touched
+        if new_keys:
+            db_touched |= new_keys
+            pending.touched.extend(new_keys)
+            pending.distinct += len(new_keys)
         pending.retrievals += stamp[0]
         pending.memo[key] = stamp
         return rows

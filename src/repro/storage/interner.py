@@ -25,8 +25,11 @@ collapsed such values *within* a relation (set membership); the interner
 makes the canonical representative process-wide.  Query answers remain
 ``==``-identical either way.
 
-Concurrency invariants (relied on by :mod:`repro.parallel` and the parallel
-stratum scheduler in :mod:`repro.engines.runtime`):
+Concurrency invariants.  Evaluation runs on the caller's thread, but the
+interner is process-wide, so user threads running queries in different
+sessions share it; and the parallel fixpoint offload
+(:mod:`repro.parallel`, :mod:`repro.engines.runtime`) forks workers that
+inherit a copy of it:
 
 * **Concurrent readers are always safe.**  The table is append-only; a code
   observed by any thread or forked child stays valid forever, and the
@@ -34,12 +37,13 @@ stratum scheduler in :mod:`repro.engines.runtime`):
   already-published entries.
 * **Growth is multi-writer safe.**  Allocation of a *new* code goes through
   :meth:`Interner.allocate` -- a double-checked, lock-guarded append -- so
-  two threads interning the same fresh value race to one code, never two.
-  The fast path (value already interned) stays a single lock-free dict hit.
+  two user threads interning the same fresh value race to one code, never
+  two.  The fast path (value already interned) stays a single lock-free
+  dict hit.
 * **Forked children must not rely on codes allocated after the fork.**  A
-  child's copy diverges from the parent at fork time; the worker-pool
-  protocol therefore validates that every code it ships was allocated
-  before the pool was forked (see ``runtime``'s shard freshness checks).
+  child's copy diverges from the parent at fork time, so a worker ships
+  any row holding a code at or above the fork-time interner length by
+  value, never by code.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ class Interner:
     def __init__(self) -> None:
         self._code_of: Dict[Hashable, int] = {}
         self._value_of: List[Hashable] = []
-        # Serialises *allocation* only; every read path stays lock-free.
+        # Serialises *allocation* by concurrent user threads; every read
+        # path stays lock-free.
         self._grow_lock = threading.Lock()
         # Row-level memo: object tuple -> interned tuple, for rows that have
         # been fully interned at least once.  The fixpoint insert path runs

@@ -48,14 +48,16 @@ FULL_SCAN: BucketToken = (None, None)
 
 _EMPTY_ROWS: List[Row] = []
 
-#: Serialises lazy index construction and lag catch-up across threads.  The
-#: parallel stratum scheduler lets independent SCCs *read* shared lower-
-#: stratum tables concurrently; the first probe of a cold or lagging index
-#: mutates shared state (building the index dict, replaying the un-indexed
-#: tail in place), so those cold paths -- and only those -- take this lock.
-#: Hot-path reads of an up-to-date index stay lock-free.  A single process-
-#: wide lock (rather than per-table) is fine: the guarded work is rare and
-#: contention is effectively zero.
+#: Serialises lazy index construction and lag catch-up across threads.
+#: Evaluation itself is single-threaded, but tables are shared copy-on-write
+#: between databases, so user threads querying different sessions or
+#: overlays over one base database can *read* the same table at once.  The
+#: first probe of a cold or lagging index mutates that shared state
+#: (building the index dict, replaying the un-indexed tail in place), so
+#: those cold paths -- and only those -- take this lock.  Hot-path reads of
+#: an up-to-date index stay lock-free.  A single process-wide lock (rather
+#: than per-table) is fine: the guarded work is rare and contention is
+#: effectively zero.
 _INDEX_LOCK = threading.Lock()
 
 _SINGLE_POSITIONS: Dict[int, FrozenSet[int]] = {}
@@ -348,36 +350,6 @@ class IntTable:
         self._mutations += added
         return new_rows
 
-    def add_coded_rows(self, introws: Iterable[IntRow]) -> int:
-        """Bulk-insert pre-interned rows into a fresh table; returns the count.
-
-        The worker-side fast path of sharded fixpoint rounds: the parent
-        ships a delta shard as packed code tuples, and the forked worker
-        rebuilds its shard table by decoding each tuple through the
-        inherited interner -- no interning, no duplicate probe, no index
-        upkeep.  The caller guarantees the rows are pairwise distinct, every
-        code is valid in this process's interner, and the table is fresh
-        (nothing stored, no snapshot sharing, no indexes built); anything
-        else is a programming error and raises.
-        """
-        if (
-            self._rows
-            or self._shared
-            or self._indexes
-            or self._adjacency
-            or self._columns is not None
-            or self._colarrays is not None
-        ):
-            raise ValueError("add_coded_rows requires a fresh, structure-free table")
-        value_of = self._interner._value_of
-        rows_map = self._rows
-        count = 0
-        for introw in introws:
-            rows_map[introw] = tuple(value_of[code] for code in introw)
-            count += 1
-        self._mutations += count
-        return count
-
     def merge_novel_coded(
         self,
         introws: Iterable[IntRow],
@@ -387,9 +359,10 @@ class IntTable:
     ) -> int:
         """Bulk-merge pre-interned, pre-decoded rows known to be novel.
 
-        The merge path of the sharded fixpoint: workers deduplicate exactly
-        and ship disjoint shards, so every ``(introw, row)`` pair is new and
-        the insert is a straight dict update over C-level zips.  ``codes``
+        The merge path of the parallel fixpoint offload: workers
+        deduplicate exactly and ship disjoint shards, so every ``(introw,
+        row)`` pair is new and the insert is a straight dict update over
+        C-level zips.  ``codes``
         is the flat code array the pairs were decoded from (row-major,
         ``stride`` codes per row); column caches extend from its strided
         slices.  Built subset indexes are marked lagging for the usual
@@ -425,14 +398,13 @@ class IntTable:
     ) -> int:
         """Seed a fresh table columnarly from pre-interned rows, skipping decode.
 
-        The scratch-table path of the sharded fixpoint's inner loop: the
-        step-0 scan reads only the code columns, the interner and the
-        row-map *keys*, so the object tuples :meth:`add_coded_rows` would
-        decode are never looked at -- the row map is seeded with ``None``
-        values instead.  The table is only valid for frozen columnar scans
-        afterwards (``all_rows`` would yield ``None``); like
-        :meth:`add_coded_rows` it requires a fresh, structure-free table.
-        Returns the row count.
+        The scratch-table path of the parallel fixpoint offload's inner
+        loop: the step-0 scan reads only the code columns, the interner and
+        the row-map *keys*, so the object tuples are never decoded -- the
+        row map is seeded with ``None`` values instead.  The table is only
+        valid for frozen columnar scans afterwards (``all_rows`` would yield
+        ``None``), and it must be fresh and structure-free.  Returns the row
+        count.
         """
         if (
             self._rows
@@ -667,8 +639,8 @@ class IntTable:
             raise ValueError("adjacency indexes are defined for binary tables only")
         buckets = self._adjacency.get(position)
         if buckets is None:
-            # Cold build; locked so concurrent first probes from parallel SCC
-            # evaluation build the structure once (see _INDEX_LOCK).
+            # Cold build; locked so concurrent first probes from user threads
+            # sharing this table build the structure once (see _INDEX_LOCK).
             with _INDEX_LOCK:
                 buckets = self._adjacency.get(position)
                 if buckets is None:

@@ -3,16 +3,21 @@
 The sequential path (``parallelism = 1``) is the differential oracle: for
 every engine, workload family, storage mode, plan-execution mode and worker
 count, evaluation under parallelism must produce the *same answers and the
-same aggregated counters* as the sequential run -- Level 1 (concurrent
-SCCs of a stratum over copy-on-write overlays) and Level 2 (hash-sharded
-delta rounds on the fork pool) are pure schedulers, not semantics.
+same aggregated counters* as the sequential run -- the whole-fixpoint
+offload (a component's delta rounds run per invariant-column partition on
+a fork pool) is a scheduler, not semantics.
 
-Also here: the thread-safety regression for the per-database kernel-probe
-cache -- after :meth:`Database.reset_instrumentation` and an EDB mutation,
-a concurrent re-evaluation must never observe a stale probe memo -- and
-the resume/DRed paths (which stay sequential by contract but must behave
-identically while parallelism is armed).
+Also here: the regression for the per-database kernel-probe cache -- after
+:meth:`Database.reset_instrumentation` and an EDB mutation, an offloaded
+re-evaluation must never observe a stale probe memo -- a fork failure
+falling back to the sequential loop, and the resume/DRed paths (which stay
+sequential by contract but must behave identically while parallelism is
+armed).
 """
+
+import errno
+import multiprocessing
+from multiprocessing.context import ForkProcess
 
 import pytest
 
@@ -27,7 +32,7 @@ from repro.workloads import chain, random_dag, sample_a, sample_cyclic
 
 
 def _multi_component_workload():
-    """One stratum with three SCCs in two dependency waves (Level 1 food)."""
+    """One stratum with three left-linear SCCs, each offload-eligible."""
     program = parse_program(
         """
         reach_a(X, Y) :- edge_a(X, Y).
@@ -67,10 +72,9 @@ def _sequential_after_each_test():
 
 
 @pytest.fixture
-def force_sharding():
-    previous = _runtime.set_shard_min_rows(1)
-    yield
-    _runtime.set_shard_min_rows(previous)
+def force_sharding(monkeypatch):
+    """Offload every eligible component, whatever its seed delta size."""
+    monkeypatch.setattr(_runtime, "_SHARD_MIN_ROWS", 1)
 
 
 def _run(engine_name, workload_name, storage, plan_mode, workers, cell=execution_mode):
@@ -140,13 +144,90 @@ def test_forced_sharding_actually_shards(force_sharding):
     Needs a left-linear recursion: the shard recipe requires the delta
     occurrence at step 0 probing a non-recursive relation at step 1 (the
     right-linear ``chain`` plans keep ``edge`` first and are ineligible).
+    Each of the workload's three closures offloads its whole fixpoint:
+    one task per worker, one merge.
     """
     program, database, query = WORKLOADS["multi-component"]()
     set_parallelism(4)
     with storage_mode("kernel"), execution_mode("columnar"):
         result = get_engine("seminaive").answer(program, query, database.copy())
-    assert result.batch_stats.shards > 0
+    assert result.batch_stats.shards == 3 * 4
     assert result.batch_stats.merge_seconds > 0.0
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
+def test_independent_closures_each_offload(force_sharding):
+    """Two independent left-linear closures and a join above them, all in
+    one stratum: evaluation takes the components in order on the caller's
+    thread, so *each* closure offloads its whole fixpoint to the pool
+    (``workers`` tasks apiece), and the join reads both finished closures
+    -- with answers and counters identical to the sequential run."""
+    program = parse_program(
+        """
+        reach_a(X, Y) :- edge_a(X, Y).
+        reach_a(X, Z) :- reach_a(X, Y), edge_a(Y, Z).
+        reach_b(X, Y) :- edge_b(X, Y).
+        reach_b(X, Z) :- reach_b(X, Y), edge_b(Y, Z).
+        both(X, Y) :- reach_a(X, Y), reach_b(X, Y).
+        """
+    )
+    database = Database()
+    for i in range(16):
+        database.add_fact("edge_a", (i, i + 1))
+        database.add_fact("edge_b", (i, (i + 2) % 17))
+    query = parse_literal("both(X, Y)")
+    engine = get_engine("seminaive")
+    workers = 2
+
+    with storage_mode("kernel"), execution_mode("columnar"):
+        set_parallelism(1)
+        sequential = engine.answer(program, query, database.copy())
+        set_parallelism(workers)
+        parallel = engine.answer(program, query, database.copy())
+    assert sequential.answers  # the join is not vacuous
+    assert parallel.batch_stats.shards == 2 * workers
+    assert parallel.answers == sequential.answers
+    assert parallel.counters == sequential.counters
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
+def test_fork_failure_falls_back_to_sequential(force_sharding, monkeypatch):
+    """A worker that cannot be forked (``EAGAIN`` on the second start) must
+    not escape: the pool reaps the worker it already started, and the
+    component runs its ordinary sequential loop with nothing charged twice."""
+    program = parse_program(
+        """
+        path(X, Y) :- edge(X, Y).
+        path(X, Z) :- path(X, Y), edge(Y, Z).
+        """
+    )
+    database = Database()
+    for i in range(30):
+        database.add_fact("edge", (i, i + 1))
+    query = parse_literal("path(X, Y)")
+    engine = get_engine("seminaive")
+    set_parallelism(1)
+    with execution_mode("columnar"):
+        sequential = engine.answer(program, query, database.copy())
+
+    real_start = ForkProcess.start
+    starts = []
+
+    def flaky_start(process):
+        starts.append(process)
+        if len(starts) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        real_start(process)
+
+    monkeypatch.setattr(ForkProcess, "start", flaky_start)
+    set_parallelism(2)
+    with execution_mode("columnar"):
+        parallel = engine.answer(program, query, database.copy())
+    assert len(starts) == 2  # the offload really tried to fork
+    assert parallel.batch_stats.shards == 0
+    assert parallel.answers == sequential.answers
+    assert parallel.counters == sequential.counters
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
@@ -233,37 +314,38 @@ def test_resume_and_dred_under_parallelism(workers):
     assert resumed.answers == scratch.answers
 
 
-def _evaluation_sequence(workers, force_shards=False):
+def _evaluation_sequence(monkeypatch, workers, force_shards=False):
     """Evaluate, reset instrumentation, mutate the EDB, evaluate again --
     on one database object, so cached probe state must invalidate."""
     program, database, query = _multi_component_workload()
     engine = get_engine("seminaive")
     set_parallelism(workers)
-    previous = _runtime.set_shard_min_rows(1 if force_shards else 1 << 30)
-    try:
-        with storage_mode("kernel"), execution_mode("columnar"):
-            first = engine.answer(program, query, database)
-            database.reset_instrumentation()
-            database.add_fact("edge_a", (18, 0))
-            second = engine.answer(program, query, database)
-    finally:
-        set_parallelism(1)
-        _runtime.set_shard_min_rows(previous)
+    with monkeypatch.context() as patch:
+        patch.setattr(_runtime, "_SHARD_MIN_ROWS", 1 if force_shards else 1 << 30)
+        try:
+            with storage_mode("kernel"), execution_mode("columnar"):
+                first = engine.answer(program, query, database)
+                database.reset_instrumentation()
+                database.add_fact("edge_a", (18, 0))
+                second = engine.answer(program, query, database)
+        finally:
+            set_parallelism(1)
     return first.answers, second.answers, second.counters
 
 
 @pytest.mark.parametrize("force_shards", [False, True])
-def test_probe_memo_never_stale_after_reset(force_shards):
-    """Satellite of the thread-safety audit: the per-database kernel-probe
-    cache and charging memos are cleared by ``reset_instrumentation`` and
-    invalidated by table mutation; concurrent SCC evaluation after both
-    must charge exactly like the sequential run (a stale memo would skew
-    ``fact_retrievals``/``distinct_facts`` or corrupt answers)."""
+def test_probe_memo_never_stale_after_reset(force_shards, monkeypatch):
+    """The per-database kernel-probe cache and charging memos are cleared
+    by ``reset_instrumentation`` and invalidated by table mutation; an
+    evaluation under parallelism after both (offloaded to the fork pool
+    when ``force_shards``) must charge exactly like the sequential run (a
+    stale memo would skew ``fact_retrievals``/``distinct_facts`` or corrupt
+    answers)."""
     if force_shards and not fork_available():
         pytest.skip("needs the fork start method")
-    seq_first, seq_second, seq_counters = _evaluation_sequence(1)
+    seq_first, seq_second, seq_counters = _evaluation_sequence(monkeypatch, 1)
     par_first, par_second, par_counters = _evaluation_sequence(
-        4, force_shards=force_shards
+        monkeypatch, 4, force_shards=force_shards
     )
     assert par_first == seq_first
     assert par_second == seq_second

@@ -1,8 +1,8 @@
-"""The storage-encapsulation invariant checker (``tools/check_invariants.py``).
+"""The repo invariant checker (``tools/check_invariants.py``).
 
-Pins three things: the real source tree is clean, a synthetic violation is
-flagged with an exact ``line:column``, and the ``self``/storage-package
-exemptions hold so the checker never cries wolf.
+Pins three things: the real source tree is clean, a synthetic violation of
+each rule is flagged with an exact ``line:column``, and the
+``self``/storage-package exemptions hold so the checker never cries wolf.
 """
 
 import subprocess
@@ -55,6 +55,43 @@ class TestCheckFile:
         violations = check_invariants.check_file(source)
         assert len(violations) == 1
         assert "cannot parse" in violations[0][2]
+
+
+class TestNoThreads:
+    def test_flags_thread_attribute(self, tmp_path):
+        source = tmp_path / "scheduler.py"
+        source.write_text(
+            "import threading\n"
+            "def spawn(run):\n"
+            "    threading.Thread(target=run).start()\n"
+        )
+        violations = check_invariants.check_file(source)
+        assert len(violations) == 1
+        line, column, message = violations[0]
+        assert (line, column) == (3, 5)
+        assert "threading.Thread" in message and "fork-only" in message
+
+    def test_flags_thread_import(self, tmp_path):
+        source = tmp_path / "scheduler.py"
+        source.write_text("from threading import Lock, Thread\n")
+        violations = check_invariants.check_file(source)
+        assert [(line, column) for line, column, _ in violations] == [(1, 1)]
+
+    def test_locks_are_allowed(self, tmp_path):
+        source = tmp_path / "interner.py"
+        source.write_text(
+            "import threading\n"
+            "from threading import Lock\n"
+            "_GROW = threading.Lock()\n"
+        )
+        assert check_invariants.check_file(source) == []
+
+    def test_storage_package_is_not_exempt(self, tmp_path):
+        nested = tmp_path / "src" / "repro" / "storage"
+        nested.mkdir(parents=True)
+        inside = nested / "table.py"
+        inside.write_text("import threading\nclass W(threading.Thread):\n    pass\n")
+        assert check_invariants.check_tree([tmp_path / "src"]) == 1
 
 
 class TestRepoTree:

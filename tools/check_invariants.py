@@ -1,18 +1,26 @@
 #!/usr/bin/env python
-"""Repo invariant checker: storage internals stay inside ``repro.storage``.
+"""Repo invariant checker: storage encapsulation and no threads in ``repro``.
 
-The :class:`repro.storage.table.IntTable` row map, subset indexes, lag
-watermarks, adjacency caches and column caches (``_rows``, ``_indexes``,
-``_index_lag``, ``_adjacency``, ``_columns``, ``_colarrays``) are private
-representation: every consumer outside the storage package must go through
-the public accessors (``rows_map``, ``bucket``, ``adjacency``,
-``built_adjacency``, ``column_codes``, ``column_arrays``,
-``merge_novel_coded``, ``seed_coded_rows``), so the packed-array kernel can
-swap representations without auditing the whole tree.  This script walks the
-source tree's ASTs and fails on any attribute access to a banned name from
-outside ``src/repro/storage`` -- except through ``self``, so other classes
-may keep private attributes that happen to share a name with their *own*
-state, as :class:`~repro.datalog.database.Database` does.
+Two rules, checked over the source tree's ASTs:
+
+* **Storage internals stay inside ``repro.storage``.**  The
+  :class:`repro.storage.table.IntTable` row map, subset indexes, lag
+  watermarks, adjacency caches and column caches (``_rows``, ``_indexes``,
+  ``_index_lag``, ``_adjacency``, ``_columns``, ``_colarrays``) are private
+  representation: every consumer outside the storage package must go
+  through the public accessors (``rows_map``, ``bucket``, ``adjacency``,
+  ``built_adjacency``, ``column_codes``, ``column_arrays``,
+  ``merge_novel_coded``, ``seed_coded_rows``), so the packed-array kernel
+  can swap representations without auditing the whole tree.  Any attribute
+  access to a banned name from outside ``src/repro/storage`` fails --
+  except through ``self``, so other classes may keep private attributes
+  that happen to share a name with their *own* state, as
+  :class:`~repro.datalog.database.Database` does.
+* **No threads.**  Evaluation runs on the caller's thread and parallelism
+  is fork-only (:mod:`repro.parallel`), so ``threading.Thread`` -- as an
+  attribute or through ``from threading import Thread`` -- is rejected
+  anywhere, the storage package included.  Locks stay allowed: they guard
+  process-wide structures that user threads can reach.
 
 Usage::
 
@@ -57,17 +65,42 @@ def _exempt(path: Path) -> bool:
     return False
 
 
+def _is_thread(node: ast.AST) -> bool:
+    if isinstance(node, ast.Attribute):
+        return (
+            node.attr == "Thread"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "threading"
+        )
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "threading" and any(
+            alias.name == "Thread" for alias in node.names
+        )
+    return False
+
+
 def check_file(path: Path) -> List[Tuple[int, int, str]]:
-    """Banned-attribute accesses in one file as ``(line, col, message)``."""
+    """Rule violations in one file as ``(line, col, message)``."""
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     except (OSError, SyntaxError) as exc:
         return [(0, 0, f"cannot parse: {exc}")]
+    storage_owner = _exempt(path)
     violations: List[Tuple[int, int, str]] = []
     for node in ast.walk(tree):
-        if (
+        if _is_thread(node):
+            violations.append(
+                (
+                    node.lineno,
+                    node.col_offset + 1,
+                    "`threading.Thread` in repro; evaluation runs on the "
+                    "caller's thread and parallelism is fork-only",
+                )
+            )
+        elif (
             isinstance(node, ast.Attribute)
             and node.attr in BANNED_ATTRIBUTES
+            and not storage_owner
             and not _is_self_access(node)
         ):
             violations.append(
@@ -87,8 +120,6 @@ def check_tree(roots: Iterable[Path]) -> int:
     for root in roots:
         files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
         for path in files:
-            if _exempt(path):
-                continue
             for line, column, message in check_file(path):
                 print(f"{path}:{line}:{column}: {message}")
                 found += 1
@@ -101,7 +132,7 @@ def main(argv: List[str]) -> int:
     if found:
         print(f"{found} invariant violation(s)")
         return 1
-    print("storage encapsulation invariants hold")
+    print("repo invariants hold")
     return 0
 
 
