@@ -23,7 +23,7 @@ lazy single-transition expansion used by the evaluator and an eager
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
 from ..relalg.automaton import ID, Automaton, Transition, thompson
 from ..relalg.equations import EquationSystem
@@ -43,11 +43,16 @@ class Expansion:
         new traversal starts from).
     exit:
         The final state of the spliced copy.
+    derived:
+        The transitions on derived predicates that the spliced copy added, in
+        the template's order and as the objects the automaton stores -- the
+        transitions later iterations may expand.
     """
 
     removed: Transition
     entry: int
     exit: int
+    derived: Tuple[Transition, ...]
 
 
 class EMHierarchy:
@@ -100,18 +105,25 @@ class EMHierarchy:
         Splices a fresh copy of ``M(e_r)`` (``r`` being the transition's
         label) into ``automaton``, wires it up with ``id`` transitions and
         removes the original transition, exactly as the paper's main loop
-        does (Figure 4).
+        does (Figure 4).  The cost is that of copying ``M(e_r)``: it does not
+        grow with the transitions spliced into ``automaton`` before.
         """
-        if transition.label not in self.derived_predicates:
+        derived = self.derived_predicates
+        if transition.label not in derived:
             raise ValueError(f"transition {transition} is not on a derived predicate")
         template = self.m_of(transition.label)
-        mapping = automaton.splice(template)
+        mapping, added = automaton.splice(template)
         entry = mapping[template.initial]
         exit_state = mapping[template.final]
         automaton.add_transition(transition.source, ID, entry)
         automaton.add_transition(exit_state, ID, transition.target)
         automaton.remove_transition(transition)
-        return Expansion(removed=transition, entry=entry, exit=exit_state)
+        return Expansion(
+            removed=transition,
+            entry=entry,
+            exit=exit_state,
+            derived=tuple(t for t in added if t.label in derived),
+        )
 
     def expand_all(self, automaton: Automaton) -> List[Expansion]:
         """Expand every transition on a derived predicate currently present."""

@@ -118,10 +118,25 @@ def accessible_nodes(
     from the query constant (including it); for the right context ``e2`` the
     query constant gives no restriction, so all nodes of the relation count.
     ``None`` expressions contribute a single virtual node (the identity), so
-    the product bound degenerates gracefully.
+    the product bound degenerates gracefully, and so does a relation with no
+    nodes.
+
+    A single stored relation with ``start=None`` -- the common case, and what
+    the planner's query-independent bound asks for -- is answered from the
+    storage kernel's column code sets, which inserts keep up to date: the
+    cost is the number of distinct values, with no row touched.  Composite
+    sides, and reachability from ``start``, evaluate the expression in
+    relational algebra over the stored rows.
+
+    Raises
+    ------
+    ValueError
+        When a relation the expression reads has tuples that are not binary.
     """
     if expression is None:
         return {None}
+    if start is None and isinstance(expression, Pred):
+        return _relation_nodes(database, expression.name)
     env: Dict[str, BinaryRelation] = {}
     for name in expression.predicates():
         rows = database.rows(name)
@@ -132,6 +147,19 @@ def accessible_nodes(
     reachable = relation.reachable_from(start)
     reachable.add(start)
     return reachable
+
+
+def _relation_nodes(database: Database, name: str) -> Set[object]:
+    """domain ∪ range of one stored binary relation, ``{None}`` when it is empty."""
+    relation = database.relations.get(name)
+    if relation is None or not len(relation):
+        return {None}
+    if relation.arity != 2:
+        raise ValueError(
+            f"expected a binary relation, {name!r} has arity {relation.arity}"
+        )
+    table = relation.table
+    return table.interner.extern_set(table.column_codes(0) | table.column_codes(1))
 
 
 def iteration_bound(

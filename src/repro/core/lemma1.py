@@ -92,6 +92,15 @@ class Lemma1Result:
 def transform(program: Program, analysis: Optional[ProgramAnalysis] = None) -> Lemma1Result:
     """Run the Lemma 1 transformation on a linear binary-chain program.
 
+    The result is memoized on ``analysis`` (by default the program's own
+    memoized :class:`ProgramAnalysis`), in the manner of
+    :meth:`~repro.datalog.analysis.Stratification.of`: the rewriting runs
+    once per program instance, and every later call -- the graph planner and
+    the counting, reverse-counting and Henschen-Naqvi engines ask on every
+    query -- returns the same :class:`Lemma1Result`.  That result is shared,
+    so callers must not mutate it or its equation systems.  The binary-chain
+    and linearity checks run, and raise, on every call.
+
     Raises
     ------
     NotApplicableError
@@ -102,6 +111,9 @@ def transform(program: Program, analysis: Optional[ProgramAnalysis] = None) -> L
         raise NotApplicableError("Lemma 1 applies to binary-chain programs only")
     if not analysis.is_linear_program():
         raise NotApplicableError("Lemma 1 applies to linear programs only")
+    cached = analysis.__dict__.get("_lemma1_memo")
+    if cached is not None:
+        return cached
 
     # Step 1: the initial equation system.
     initial = EquationSystem.from_program(program, analysis)
@@ -131,12 +143,14 @@ def transform(program: Program, analysis: Optional[ProgramAnalysis] = None) -> L
                 "please report the offending program"
             )
 
-    return Lemma1Result(
+    result = Lemma1Result(
         system=system,
         initial_system=initial,
         original_mutual_sets=original_mutual,
         iterations=iterations,
     )
+    analysis._lemma1_memo = result
+    return result
 
 
 def _mutual_sets(system: EquationSystem) -> Dict[str, FrozenSet[str]]:

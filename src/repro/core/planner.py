@@ -294,7 +294,10 @@ def _auto_iteration_bound(system, database: Database, predicate: str) -> Tuple[i
     bound with *all* accessible nodes (not just those reachable from the
     query constant) is an upper bound on the number of useful iterations for
     every query, so it is safe to install it unconditionally; no stall
-    heuristic is needed (second component ``None``).
+    heuristic is needed (second component ``None``).  A side that is a
+    single stored relation is counted from the storage kernel's column code
+    sets (:func:`~repro.core.cyclic.accessible_nodes`), so a bound query
+    touches no stored row to compute its bound.
 
     For equations outside that form (mutually recursive non-regular
     predicates) no exact bound is available; we fall back to the coarse

@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Optional, Protocol, Set, Tuple
 from ..datalog.database import Database
 from ..datalog.errors import NonTerminationError, NotApplicableError
 from ..instrumentation import Counters
-from ..relalg.automaton import ID, Automaton
+from ..relalg.automaton import ID, Automaton, Transition
 from ..relalg.equations import EquationSystem
 from .automaton import EMHierarchy
 
@@ -181,6 +181,15 @@ class GraphTraversalEvaluator:
 
         Follows the pseudocode of Figure 4: iterate traversal and expansion
         until no continuation points are generated.
+
+        The transitions on derived predicates still waiting in the automaton
+        are kept in a pending list instead of being found again by a scan of
+        the whole automaton: each iteration keeps the ones it did not expand,
+        in their order, followed by those its expansions spliced in, in
+        expansion order -- the automaton's own transition order.  An
+        iteration therefore costs its traversal, a pass over the pending list
+        and one template copy per expansion, not a pass over every transition
+        built so far.
         """
         if predicate not in self.system.derived_predicates:
             raise NotApplicableError(
@@ -188,6 +197,7 @@ class GraphTraversalEvaluator:
                 "base predicates can be queried directly from the database"
             )
         automaton = self.hierarchy.m_of(predicate).copy()
+        pending = self.hierarchy.derived_transitions(automaton)
         graph: Set[Node] = set()
         start_nodes: Set[Node] = {(automaton.initial, bound_value)}
         iterations = 0
@@ -222,12 +232,18 @@ class GraphTraversalEvaluator:
             values_by_state: Dict[int, Set[object]] = {}
             for state, value in continuation:
                 values_by_state.setdefault(state, set()).add(value)
-            for transition in list(self.hierarchy.derived_transitions(automaton)):
-                if transition.source not in values_by_state:
+            survivors: List[Transition] = []
+            spliced: List[Transition] = []
+            for transition in pending:
+                values = values_by_state.get(transition.source)
+                if values is None:
+                    survivors.append(transition)
                     continue
                 expansion = self.hierarchy.expand_transition(automaton, transition)
-                for value in values_by_state[transition.source]:
+                spliced.extend(expansion.derived)
+                for value in values:
                     start_nodes.add((expansion.entry, value))
+            pending = survivors + spliced
             if self.max_iterations is not None and iterations >= self.max_iterations:
                 if start_nodes:
                     terminated = False

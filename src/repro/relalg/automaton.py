@@ -14,6 +14,13 @@ fresh-state copying and transition replacement (used by ``EM(p, i)`` in
 Figure 1 of the paper: every operator introduces explicit ``id`` transitions
 rather than being optimised away, because the interpretation graph of
 Section 3 is defined over exactly these states.
+
+Surgery costs O(1) per transition, whatever the automaton's size: an
+automaton registers its transitions in an insertion-ordered dict from
+transition to multiplicity, so adding or removing one is a hash update, not
+a scan of everything spliced in so far.  Transitions form a multiset -- an
+identical transition added twice and removed once leaves one copy -- and
+removing an absent transition raises :class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -63,14 +70,16 @@ class Automaton:
 
     States are plain integers handed out by :meth:`new_state`, so copies of
     other automata can be spliced in without clashes (the ``EM(p, i)``
-    construction of the paper relies on this).
+    construction of the paper relies on this).  Transitions live in a
+    registry mapping each distinct transition to its multiplicity, kept in
+    insertion order, plus a per-state list of outgoing transitions.
     """
 
     def __init__(self) -> None:
         self._next_state = 0
         self.initial: int = -1
         self.final: int = -1
-        self.transitions: List[Transition] = []
+        self._transitions: Dict[Transition, int] = {}
         self._outgoing: Dict[int, List[Transition]] = {}
 
     # -- construction ----------------------------------------------------------
@@ -85,16 +94,42 @@ class Automaton:
         self, source: int, label: str, target: int, inverted: bool = False
     ) -> Transition:
         transition = Transition(source, label, target, inverted)
-        self.transitions.append(transition)
+        registry = self._transitions
+        registry[transition] = registry.get(transition, 0) + 1
         self._outgoing.setdefault(source, []).append(transition)
         self._outgoing.setdefault(target, [])
         return transition
 
     def remove_transition(self, transition: Transition) -> None:
-        self.transitions.remove(transition)
+        """Remove one copy of ``transition`` in O(1).
+
+        Raises :class:`ValueError` when the automaton holds no copy of it.
+        """
+        registry = self._transitions
+        count = registry.get(transition)
+        if count is None:
+            raise ValueError(f"transition {transition} is not in the automaton")
+        if count == 1:
+            del registry[transition]
+        else:
+            registry[transition] = count - 1
+        # A state has a handful of outgoing transitions, so this scan is short.
         self._outgoing[transition.source].remove(transition)
 
     # -- access -------------------------------------------------------------------
+
+    @property
+    def transitions(self) -> List[Transition]:
+        """Every transition in insertion order, one entry per copy.
+
+        Copies of one transition are listed together, at the position where
+        the first of them was added.  A fresh list, built in O(transitions).
+        """
+        return [
+            transition
+            for transition, count in self._transitions.items()
+            for _ in range(count)
+        ]
 
     @property
     def states(self) -> List[int]:
@@ -103,41 +138,41 @@ class Automaton:
     def outgoing(self, state: int) -> Tuple[Transition, ...]:
         return tuple(self._outgoing.get(state, ()))
 
-    def transitions_on(self, labels: Iterable[str]) -> List[Transition]:
-        wanted = set(labels)
-        return [t for t in self.transitions if t.label in wanted]
-
     def labels(self) -> Set[str]:
         """All non-identity labels used by the automaton."""
-        return {t.label for t in self.transitions if t.label != ID}
+        return {t.label for t in self._transitions if t.label != ID}
 
     def state_count(self) -> int:
         return len(self._outgoing)
 
     # -- surgery ----------------------------------------------------------------------
 
-    def splice(self, other: "Automaton") -> Dict[int, int]:
+    def splice(self, other: "Automaton") -> Tuple[Dict[int, int], List[Transition]]:
         """Copy every state and transition of ``other`` into this automaton.
 
-        Returns the state-renaming map.  The initial/final states of *this*
-        automaton are unchanged; the caller wires the copy in with explicit
-        ``id`` transitions (exactly as the paper describes for EM(p, i)).
+        Returns the state-renaming map and the added transitions, in
+        ``other``'s order and as the objects this automaton now stores.  The
+        initial/final states of *this* automaton are unchanged; the caller
+        wires the copy in with explicit ``id`` transitions (exactly as the
+        paper describes for EM(p, i)).
         """
         mapping: Dict[int, int] = {}
         for state in other.states:
             mapping[state] = self.new_state()
-        for transition in other.transitions:
+        added = [
             self.add_transition(
                 mapping[transition.source],
                 transition.label,
                 mapping[transition.target],
                 transition.inverted,
             )
-        return mapping
+            for transition in other.transitions
+        ]
+        return mapping, added
 
     def copy(self) -> "Automaton":
         clone = Automaton()
-        mapping = clone.splice(self)
+        mapping, _ = clone.splice(self)
         clone.initial = mapping[self.initial]
         clone.final = mapping[self.final]
         return clone

@@ -1,6 +1,8 @@
 """Tests for the cyclic-data iteration bound (repro.core.cyclic, Figure 8)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cyclic import (
     accessible_nodes,
@@ -13,7 +15,8 @@ from repro.datalog.database import Database
 from repro.datalog.errors import NotApplicableError
 from repro.datalog.parser import parse_literal, parse_program
 from repro.datalog.semantics import answer_query
-from repro.relalg.expressions import pred
+from repro.relalg.expressions import compose, pred
+from repro.relalg.relation import BinaryRelation
 
 SG = """
     sg(X, Y) :- flat(X, Y).
@@ -88,6 +91,63 @@ class TestAccessibleNodesAndBound:
             {"up": [("a", "b"), ("b", "c")], "flat": [("c", "c")], "down": [("c", "d")]}
         )
         assert iteration_bound(system, database, "sg", "a") == 3 * 2
+
+
+def relational_algebra_nodes(database: Database, name: str) -> set:
+    """The accessible nodes of a stored relation, rebuilt from its rows."""
+    return BinaryRelation.from_rows(database.rows(name)).active_domain() or {None}
+
+
+node_values = st.integers(min_value=0, max_value=7)
+edges = st.tuples(node_values, node_values)
+
+
+class TestKernelCountedNodes:
+    """A stored relation's nodes come from the kernel's column code sets;
+    they must equal domain ∪ range computed in relational algebra."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        initial=st.lists(edges, max_size=12),
+        steps=st.lists(st.tuples(st.booleans(), edges), max_size=24),
+        through_overlay=st.booleans(),
+    )
+    def test_equals_relational_algebra_under_updates(self, initial, steps, through_overlay):
+        base = Database()
+        base.add_facts("r", initial)
+        assert accessible_nodes(pred("r"), base) == relational_algebra_nodes(base, "r")
+        database = Database.overlay(base) if through_overlay else base
+        for insert, edge in steps:
+            if insert:
+                database.add_fact("r", edge)
+            else:
+                database.remove_fact("r", edge)
+            assert accessible_nodes(pred("r"), database) == relational_algebra_nodes(
+                database, "r"
+            )
+            if through_overlay:
+                assert accessible_nodes(pred("r"), base) == relational_algebra_nodes(
+                    base, "r"
+                )
+
+    def test_missing_relation_is_one_virtual_node(self):
+        assert accessible_nodes(pred("r"), Database()) == {None}
+
+    def test_emptied_relation_is_one_virtual_node(self):
+        database = Database.from_dict({"r": [(1, 2)]})
+        assert accessible_nodes(pred("r"), database) == {1, 2}
+        database.remove_fact("r", (1, 2))
+        assert accessible_nodes(pred("r"), database) == {None}
+
+    def test_non_binary_relation_rejected(self):
+        database = Database.from_dict({"r": [(1, 2, 3)]})
+        with pytest.raises(ValueError):
+            accessible_nodes(pred("r"), database)
+
+    def test_composite_side_matches_relational_algebra(self):
+        database = Database.from_dict({"b": [(1, 2), (2, 3)], "c": [(0, 1), (3, 0)]})
+        nodes = accessible_nodes(compose(pred("c"), pred("b")), database)
+        assert nodes == {0, 2}
 
 
 class TestCycleBoundedEvaluation:

@@ -4,9 +4,11 @@ import pytest
 
 from repro.datalog.database import Database
 from repro.datalog.errors import NotApplicableError
-from repro.datalog.parser import parse_program
-from repro.datalog.semantics import least_model
+from repro.datalog.parser import parse_literal, parse_program
+from repro.datalog.semantics import answer_query, least_model
 from repro.core.lemma1 import equation_for, transform
+from repro.core.planner import evaluate_query
+from repro.engines import run_engine
 from repro.relalg.expressions import compose, pred, star, union
 from repro.relalg.relation import BinaryRelation
 
@@ -216,3 +218,44 @@ class TestSemanticEquivalence:
         assert result.derived_predicates_in("sg") == {"sg"}
         regular = transform(parse_program(TC_RIGHT))
         assert regular.is_regular_equation("tc")
+
+
+class TestMemo:
+    """transform() runs once per program instance and hands every caller the
+    same result, which no caller may mutate."""
+
+    SG_FACTS = SG + """
+        up(a, b). up(b, c). up(c, a).
+        flat(a, d). flat(c, e).
+        down(d, e). down(e, f). down(f, d).
+    """
+
+    def test_every_binding_pattern_leaves_the_memo_unchanged(self):
+        program = parse_program(self.SG_FACTS)
+        result = transform(program)
+        equations = dict(result.system.equations)
+        initial = dict(result.initial_system.equations)
+        queries = ["sg(a, Y)", "sg(X, f)", "sg(a, f)", "sg(X, Y)", "sg(X, X)"]
+        for text in queries:
+            query = parse_literal(text)
+            answer = evaluate_query(program, query, strategy="graph")
+            assert answer.details["lemma1"] is result
+            assert answer.answers == answer_query(program, query)
+        for engine in ("counting", "reverse-counting", "henschen-naqvi"):
+            query = parse_literal("sg(a, Y)")
+            assert run_engine(engine, program, query).answers == answer_query(program, query)
+        assert transform(program) is result
+        assert dict(result.system.equations) == equations
+        assert dict(result.initial_system.equations) == initial
+
+    def test_separately_parsed_copies_do_not_share_a_memo(self):
+        first = transform(parse_program(SG))
+        second = transform(parse_program(SG))
+        assert first is not second
+        assert first.system.equations == second.system.equations
+
+    def test_applicability_checks_run_on_every_call(self):
+        program = parse_program("anc(X, Y) :- par(X, Y). anc(X, Y) :- anc(X, Z), anc(Z, Y).")
+        for _ in range(2):
+            with pytest.raises(NotApplicableError):
+                transform(program)

@@ -3,11 +3,16 @@
 import pytest
 
 from repro import evaluate_query
+from repro.core.cyclic import decompose_linear
+from repro.core.lemma1 import transform
+from repro.core.planner import _auto_iteration_bound
 from repro.core.planner import evaluate_query as planner_evaluate
 from repro.datalog.database import Database
 from repro.datalog.errors import NotApplicableError
 from repro.datalog.parser import parse_literal, parse_program
 from repro.datalog.semantics import answer_query
+from repro.relalg.expressions import Compose
+from repro.workloads import random_genealogy, sample_a, sample_b, sample_c, sample_cyclic
 
 SG = """
     sg(X, Y) :- flat(X, Y).
@@ -133,6 +138,94 @@ class TestAnswerCorrectness:
     def test_empty_answer_for_unreachable_constant(self):
         answer = planner_evaluate(parse_program(SG), parse_literal("sg(zzz, Y)"))
         assert answer.answers == set()
+
+
+# p = a ∪ b·p·c ∪ d·p·e is not of the p = e0 ∪ e1·p·e2 form, so the planner
+# bounds it coarsely and stops on the stall heuristic; b and c are cycles.
+TWO_RECURSIVE_TERMS = """
+    p(X, Y) :- a(X, Y).
+    p(X, Y) :- b(X, Z), p(Z, W), c(W, Y).
+    p(X, Y) :- d(X, Z), p(Z, W), e(W, Y).
+    a(x0, y0).
+    b(x0, x1). b(x1, x0).
+    c(y0, y1). c(y1, y2). c(y2, y0).
+    d(x0, x1). e(y2, w0). e(w0, w1).
+"""
+
+# Lemma 1 gives q = c·a·e ∪ c·b·q·e: the left side e1 = c·b is a composition,
+# so its accessible nodes are counted in relational algebra; b, c and e hold
+# cycles.
+COMPOSITE_LEFT_SIDE = """
+    p(X, Y) :- a(X, Y).
+    p(X, Y) :- b(X, Z), q(Z, Y).
+    q(X, Y) :- c(X, Z), p(Z, W), e(W, Y).
+    a(x1, y0). a(x0, y2).
+    b(x1, x2). b(x2, x1). b(x0, x0).
+    c(x0, x1). c(x1, x0). c(x2, x0).
+    e(y0, y1). e(y1, y2). e(y2, y0).
+"""
+
+
+class TestAutomaticIterationBound:
+    @pytest.mark.parametrize(
+        "workload,bound",
+        [
+            (sample_a(200), 402),
+            (sample_b(120), 14_400),
+            (sample_c(200), 40_000),
+            (sample_cyclic(7, 11), 77),
+            (random_genealogy(240, 6), 53_361),
+            (random_genealogy(800, 8), 599_076),
+        ],
+        ids=["fig7a-200", "fig7b-120", "fig7c-200", "fig8-7x11", "gen-240x6", "gen-800x8"],
+    )
+    def test_linear_form_bound_is_pinned(self, workload, bound):
+        program, database, query = workload
+        system = transform(program).system
+        assert _auto_iteration_bound(system, database, query.predicate) == (bound, None)
+
+    def test_stall_fallback_outside_the_linear_form(self):
+        program = parse_program(TWO_RECURSIVE_TERMS)
+        query = parse_literal("p(x0, Y)")
+        system = transform(program).system
+        bound, stall = _auto_iteration_bound(
+            system, Database.from_program(program), "p"
+        )
+        assert (bound, stall) == (81, 9)
+        answer = planner_evaluate(program, query)
+        assert answer.strategy == "graph-traversal"
+        assert answer.answers == answer_query(program, query)
+        assert answer.answers == {("y0",), ("y1",), ("y2",), ("w0",)}
+        assert answer.iterations == 16
+        assert answer.counters.as_dict() == {
+            "fact_retrievals": 1969,
+            "distinct_facts": 8,
+            "rule_firings": 0,
+            "derived_tuples": 0,
+            "nodes_generated": 8795,
+            "iterations": 16,
+            "total_work": 10764,
+        }
+
+    def test_composite_left_side(self):
+        program = parse_program(COMPOSITE_LEFT_SIDE)
+        query = parse_literal("q(x0, Y)")
+        system = transform(program).system
+        assert isinstance(decompose_linear(system, "q").left, Compose)
+        answer = planner_evaluate(program, query)
+        assert answer.strategy == "graph-traversal"
+        assert answer.answers == answer_query(program, query)
+        assert answer.answers == {("y0",), ("y1",), ("y2",)}
+        assert answer.iterations == 9
+        assert answer.counters.as_dict() == {
+            "fact_retrievals": 65,
+            "distinct_facts": 9,
+            "rule_firings": 0,
+            "derived_tuples": 0,
+            "nodes_generated": 191,
+            "iterations": 9,
+            "total_work": 256,
+        }
 
 
 class TestQueryAnswerAPI:

@@ -1,7 +1,8 @@
 """Unit tests for repro.relalg.automaton (the M(e) construction)."""
 
+import pytest
 
-from repro.relalg.automaton import ID, Automaton, simulate, thompson
+from repro.relalg.automaton import ID, Automaton, Transition, simulate, thompson
 from repro.relalg.expressions import compose, empty, identity, inverse, pred, star, union
 
 
@@ -18,6 +19,33 @@ class TestAutomatonBasics:
         automaton.remove_transition(transition)
         assert automaton.outgoing(q0) == ()
 
+    def test_transitions_are_a_multiset(self):
+        automaton = Automaton()
+        q0, q1, q2 = automaton.new_state(), automaton.new_state(), automaton.new_state()
+        first = automaton.add_transition(q0, "a", q1)
+        other = automaton.add_transition(q0, "b", q2)
+        second = automaton.add_transition(q0, "a", q1)
+        assert automaton.transitions == [first, first, other]
+        assert automaton.outgoing(q0) == (first, other, second)
+        automaton.remove_transition(second)
+        assert automaton.transitions == [first, other]
+        assert automaton.outgoing(q0) == (other, second)
+        automaton.remove_transition(first)
+        assert automaton.transitions == [other]
+        assert automaton.outgoing(q0) == (other,)
+
+    def test_removing_an_absent_transition_raises(self):
+        automaton = Automaton()
+        q0, q1 = automaton.new_state(), automaton.new_state()
+        transition = automaton.add_transition(q0, "a", q1)
+        with pytest.raises(ValueError):
+            automaton.remove_transition(Transition(q1, "a", q0))
+        automaton.remove_transition(transition)
+        with pytest.raises(ValueError):
+            automaton.remove_transition(transition)
+        assert automaton.transitions == []
+        assert automaton.outgoing(q0) == ()
+
     def test_labels_exclude_id(self):
         automaton = Automaton()
         q0, q1 = automaton.new_state(), automaton.new_state()
@@ -29,9 +57,14 @@ class TestAutomatonBasics:
         first = thompson(pred("a"))
         second = thompson(pred("b"))
         before = first.state_count()
-        mapping = first.splice(second)
+        mapping, added = first.splice(second)
         assert first.state_count() == before + second.state_count()
         assert set(mapping) == set(second.states)
+        assert added == [
+            Transition(mapping[t.source], t.label, mapping[t.target], t.inverted)
+            for t in second.transitions
+        ]
+        assert all(t in first.transitions for t in added)
 
     def test_copy_is_independent(self):
         automaton = thompson(pred("a"))
