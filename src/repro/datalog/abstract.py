@@ -45,8 +45,10 @@ Three consumers sit on top:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -61,6 +63,24 @@ from .analysis import ProgramAnalysis
 from .literals import Literal
 from .rules import Program, Rule
 from .terms import AggregateTerm, Constant, Term, Variable
+
+
+def _no_database() -> None:
+    return None
+
+
+def database_ref(database: Optional[object]) -> Callable[[], Optional[object]]:
+    """A weak handle on the database a per-program memo was built against.
+
+    Calling the handle returns the database while it lives and ``None``
+    after, so a memo recognises its database by identity (``is``) without
+    keeping it alive.  An address (``id``) would not do: ``Engine.answer``
+    builds a fresh overlay per call, and once one is freed the next may be
+    allocated at the same address.  ``None`` gets a handle that always
+    returns ``None``.
+    """
+    return _no_database if database is None else weakref.ref(database)
+
 
 #: Column sorts of the product lattice.  ``symbol`` covers every string
 #: payload (the parser produces plain ``str`` for both identifiers and
@@ -345,9 +365,9 @@ class RuleInsight:
 class AbstractAnalysis:
     """The converged abstract interpretation of one program (+ database).
 
-    Build through :meth:`of`, which memoizes per program instance and
-    database version exactly like :meth:`ProgramAnalysis.of` -- the engine
-    hot path re-requests the analysis per query.
+    Build through :meth:`of`, which memoizes on the program instance (like
+    :meth:`ProgramAnalysis.of`) per database object and version -- the
+    engine hot path re-requests the analysis per query.
     """
 
     def __init__(
@@ -388,13 +408,12 @@ class AbstractAnalysis:
         directive); their columns are top and they may be non-empty.
         """
         known_key = frozenset(known)
-        version = database.version if database is not None else None
-        key = (None if database is None else id(database), version, known_key)
+        key = (database.version if database is not None else None, known_key)
         memo = program.__dict__.get("_abstract_memo")
-        if memo is not None and memo[0] == key:
-            return memo[1]
+        if memo is not None and memo[0] == key and memo[1]() is database:
+            return memo[2]
         analysis = cls._build(program, database, known_key)
-        program._abstract_memo = (key, analysis)
+        program._abstract_memo = (key, database_ref(database), analysis)
         return analysis
 
     @classmethod

@@ -1074,24 +1074,25 @@ class _Linter:
                 and len(rule.body) <= self.SUBSUMPTION_BODY_LIMIT
             ):
                 by_head.setdefault(rule.head.predicate, []).append(rule)
-        flagged: Set[int] = set()
         for group in by_head.values():
+            # Flagged rules by their index within the head group.
+            flagged = [False] * len(group)
             for index, specific in enumerate(group):
-                if id(specific) in flagged:
+                if flagged[index]:
                     continue
                 for general_index, general in enumerate(group):
                     if general is specific or general == specific:
                         continue
                     if len(general.body) > len(specific.body):
                         continue
-                    if id(general) in flagged:
+                    if flagged[general_index]:
                         continue
                     if general_index > index and _subsumes(specific, general):
                         # Mutual (alpha-equivalent) pair: only the later
                         # occurrence gets flagged, as its own `specific`.
                         continue
                     if _subsumes(general, specific):
-                        flagged.add(id(specific))
+                        flagged[index] = True
                         self.diagnostics.append(
                             Diagnostic(
                                 code="DL405",

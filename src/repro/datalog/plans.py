@@ -21,8 +21,9 @@ each body **once** into a :class:`JoinPlan`:
 * the fixpoint runtime fires a plan as one columnar batch
   (:meth:`JoinPlan.head_batch`): every scan step processes the whole
   binding batch over interned code columns, one indexed probe per distinct
-  join key; the generator entry points, and the shapes a batch cannot run,
-  use a flat iterative backtracking loop that drives
+  join key; the generator entry points, the shapes a batch cannot run and
+  the firings of a self-feeding plan (one whose later step scans its own
+  head relation) use a flat iterative backtracking loop that drives
   :meth:`repro.datalog.database.Database.scan` with a positional slot
   array.  Neither path materialises substitution dictionaries or
   re-wrapped literals on the hot path.
@@ -65,13 +66,7 @@ from typing import (
 )
 
 from ..storage import runtime as _storage_runtime
-from ..storage.columns import (
-    DIRECT_CHARGES,
-    BatchScan,
-    PendingCharges,
-    build_probes,
-    extern_columns,
-)
+from ..storage.columns import BatchScan, build_probes, extern_columns
 from ..storage.runtime import MODE_KERNEL
 from ..storage.table import FULL_SCAN
 from .database import Database, Row
@@ -91,11 +86,6 @@ _MODE_INTERPRETED = "interpreted"
 _MODE_COLUMNAR = "columnar"
 _mode = _MODE_COLUMNAR
 
-#: A plan whose optimistic batch was aborted this many times stops trying:
-#: its data shape feeds its own later scans, so every attempt would pay the
-#: discarded batch on top of the row-loop re-run.
-_BATCH_ABORT_LIMIT = 2
-
 
 def set_execution_mode(mode: str) -> None:
     """Select how plans execute: ``"columnar"`` (default) or ``"interpreted"``.
@@ -107,9 +97,9 @@ def set_execution_mode(mode: str) -> None:
     anti-join reducers for negation -- with charging replicated bit for bit
     (see :mod:`repro.storage.columns`).  The plan's private row executor
     serves the generator entry points (:meth:`JoinPlan.substitutions` /
-    :meth:`JoinPlan.heads` / :meth:`JoinPlan.pairs`, whose callers may
-    interleave arbitrary writes with consumption) and the shapes a batch
-    cannot run (see :meth:`JoinPlan.head_batch`).
+    :meth:`JoinPlan.heads`, whose callers may interleave arbitrary writes
+    with consumption) and the firings a batch cannot run (see
+    :meth:`JoinPlan.head_batch`).
 
     The interpreted mode runs the reference substitution-dictionary
     nested-loop join over the *same* plan (same literal order, same builtin
@@ -365,13 +355,14 @@ class ScanStep:
 
 #: No later scan step can observe the rows the consumer inserts while the
 #: batch is being consumed: batch results are identical to the row loop's
-#: by construction, so charges go straight through (DIRECT_CHARGES).
+#: by construction.
 _SHAPE_SAFE = 0
-#: Some step at depth >= 1 re-scans the head relation from the main
-#: database: run the batch optimistically under PendingCharges, record every
-#: probe key into the head relation, and abort (fall back to the row loop)
-#: when a produced head row could have been observed by one of those probes.
-_SHAPE_VERIFY = 1
+#: Self-feeding: some step at depth >= 1 scans the head relation from the
+#: main database, so the row loop's probes may see rows the same firing
+#: inserted moments earlier.  Batched only when the caller promises not to
+#: write the database at all (``frozen``); every other firing runs the row
+#: loop, which is the behaviour the work counters pin.
+_SHAPE_SELF_FEEDING = 1
 #: Shapes head_batch does not handle (no head, unbound head, empty body,
 #: caller-bound variables, or negation over the head relation).
 _SHAPE_NEVER = 2
@@ -433,15 +424,11 @@ class _NegStepInfo:
 
 
 class _StepInfo:
-    """Per-step columnar metadata: probe keys, column liveness, verification.
+    """Per-step columnar metadata: probe keys and column liveness.
 
     ``carry`` are the slots gathered through from the parent batch,
     ``out_take`` the ``(position, slot)`` outputs actually read later, and
-    ``alive`` the slots that must survive the step's filters.  For steps the
-    shape analysis marked unsafe, ``record_positions`` names the sorted bound
-    argument positions whose probe keys the verification pass records
-    (``loose`` when the step scans the head relation with no bound position
-    at all, in which case any fresh head row aborts the batch).
+    ``alive`` the slots that must survive the step's filters.
     """
 
     __slots__ = (
@@ -456,14 +443,12 @@ class _StepInfo:
         "probe_template",
         "probe_consts",
         "probe_slots",
-        "record_positions",
-        "loose",
         "negs",
     )
 
 
 class _BatchInfo:
-    """Whole-plan batch shape: SAFE/VERIFY/NEVER plus per-step metadata."""
+    """Whole-plan batch shape: SAFE/SELF_FEEDING/NEVER plus per-step metadata."""
 
     __slots__ = ("shape", "steps", "wanted_after")
 
@@ -528,7 +513,6 @@ class JoinPlan:
         "out_vars",
         "estimates",
         "_binfo",
-        "_aborts",
         "_scan0",
         "_shard",
     )
@@ -577,10 +561,8 @@ class JoinPlan:
         # one StepEstimate per scan step when the cost planner chose the
         # order (set by compile_plan after construction).
         self.estimates: Optional[Tuple["StepEstimate", ...]] = None
-        # Columnar batch-execution analysis, built lazily on first use, and
-        # the count of aborted optimistic batches (see head_batch).
+        # Columnar batch-execution analysis, built lazily on first use.
         self._binfo: Optional[_BatchInfo] = None
-        self._aborts = 0
         # Step-0 full-scan column cache: (table, mutation epoch, columns).
         # Valid while the scanned table object is unchanged; the cached
         # lists are shared read-only (filters rebind, never mutate).
@@ -714,31 +696,6 @@ class JoinPlan:
                 slots[slot] if slot is not None else value for slot, value in template
             )
 
-    def pairs(
-        self,
-        database: Database,
-        derived: Optional[Database] = None,
-        initial: Optional[Substitution] = None,
-    ) -> Iterator[Tuple[Row, Substitution]]:
-        """Enumerate ``(head_row, substitution)`` pairs (legacy contract)."""
-        template = self.head_template
-        if _mode == _MODE_INTERPRETED:
-            for substitution in self._execute_interpreted(database, derived, initial):
-                self._check_head_ground()
-                row = tuple(
-                    substitution[self.head.args[i]] if slot is not None else value
-                    for i, (slot, value) in enumerate(template)
-                )
-                yield row, substitution
-            return
-        out_vars = self.out_vars
-        for slots in self._execute(database, derived, initial):
-            self._check_head_ground()
-            row = tuple(
-                slots[slot] if slot is not None else value for slot, value in template
-            )
-            yield row, {var: slots[slot] for var, slot in out_vars}
-
     def _check_head_ground(self) -> None:
         if self.head_unbound:
             raise EvaluationError(
@@ -849,13 +806,11 @@ class JoinPlan:
             self._binfo = info
             return info
         head_predicate = head.predicate
-        unsafe = {
-            index
-            for index in range(1, len(steps))
-            if steps[index].predicate == head_predicate
-            and steps[index].source != SOURCE_DERIVED
-        }
-        info.shape = _SHAPE_VERIFY if unsafe else _SHAPE_SAFE
+        self_feeding = any(
+            step.predicate == head_predicate and step.source != SOURCE_DERIVED
+            for step in steps[1:]
+        )
+        info.shape = _SHAPE_SELF_FEEDING if self_feeding else _SHAPE_SAFE
 
         # Backward liveness: ``need`` holds the slots required by the head
         # and by every step after the one being analysed.
@@ -892,14 +847,6 @@ class JoinPlan:
                 si.probe_consts,
                 si.probe_slots,
             ) = _probe_recipe(si.key_positions, si.const_dict)
-            si.record_positions = None
-            si.loose = False
-            if index in unsafe:
-                bound = sorted(set(si.key_positions) | set(si.const_dict))
-                if bound:
-                    si.record_positions = tuple(bound)
-                else:
-                    si.loose = True
             si.negs = tuple(_NegStepInfo(neg) for neg in step.neg_checks)
             step_infos[index] = si
             need = (need - produced) | set(si.key_slots) | (reads - produced)
@@ -968,57 +915,47 @@ class JoinPlan:
     ) -> Optional[List[Row]]:
         """Execute the whole plan as one batch; all head rows, or ``None``.
 
-        ``None`` means the caller must fall back to the row-at-a-time
-        :meth:`heads` loop: either the plan's shape is not batchable, or an
-        optimistic batch over a self-feeding plan was discarded by the
-        probe-overlap verification (in which case no counter, touched-set or
-        charging-memo state was modified).
+        ``None`` -- counted as one ``fallbacks`` in the batch telemetry,
+        with nothing charged -- means the caller must run the
+        row-at-a-time :meth:`heads` loop instead: the plan's shape is not
+        batchable, or the plan is self-feeding (a later step scans the head
+        relation of ``database``) and the caller did not pass ``frozen``.
 
         The caller contract matches the stratified runtime's firing loops
         exactly: nothing the plan reads is mutated until the returned batch
         is fully consumed, and consumption only inserts the returned rows
         into ``head.predicate`` of ``database`` (plus databases the plan
-        does not read).  ``frozen=True`` strengthens the promise to "no
-        mutation of ``database`` at all" (the DRed overdelete loop), letting
-        self-feeding shapes skip verification entirely.
+        does not read).  That is enough for every plan whose later steps
+        cannot see those insertions.  ``frozen=True`` strengthens the
+        promise to "no mutation of ``database`` at all" (the DRed
+        overdelete loop), under which a self-feeding plan batches too: no
+        probe can observe a row written mid-firing when none is.
         """
         binfo = self._binfo
         if binfo is None:
             binfo = self._build_batch_info()
         stats = database.counters.batch
-        if binfo.shape == _SHAPE_NEVER:
+        if binfo.shape == _SHAPE_NEVER or (
+            binfo.shape == _SHAPE_SELF_FEEDING and not frozen
+        ):
             stats.fallbacks += 1
             return None
-        verify = binfo.shape == _SHAPE_VERIFY and not frozen
-        if verify and self._aborts >= _BATCH_ABORT_LIMIT:
-            stats.fallbacks += 1
-            return None
-        charges = PendingCharges() if verify else DIRECT_CHARGES
-        heads = self._run_batch(database, derived, binfo, charges, verify, stats)
-        if heads is None:
-            charges.discard()
-            self._aborts += 1
-            stats.fallbacks += 1
-            return None
-        charges.commit()
-        return heads
+        return self._run_batch(database, derived, binfo, stats)
 
     def _run_batch(
         self,
         database: Database,
         derived: Optional[Database],
         binfo: _BatchInfo,
-        charges,
-        verify: bool,
         stats,
-    ) -> Optional[List[Row]]:
+    ) -> List[Row]:
         # Constant-only pre-filters (no variables are bound before step 0).
         slots0: List[object] = [None] * self.nslots
         for check in self.pre_checks:
             if not check.evaluate(slots0):
                 return []
         for neg in self.pre_negs:
-            if charges.scan(database, neg.predicate, neg._buffer, neg.intra_eq):
+            if database.scan(neg.predicate, neg._buffer, neg.intra_eq):
                 return []
 
         steps = self.steps
@@ -1028,8 +965,6 @@ class JoinPlan:
         sources = self._batch_sources(step, database, derived)
         bindings0 = dict(step.const_bindings) if step.const_bindings else None
         node_updates: List[Tuple[str, int, int]] = []
-        recorded: List[Tuple[Tuple[int, ...], Set[tuple]]] = []
-        loose_probed = False
         cols: Dict[int, list] = {}
         # Interned code columns threaded alongside ``cols`` for the slots
         # later steps probe on, so those probes skip the per-row value
@@ -1045,11 +980,11 @@ class JoinPlan:
             and _storage_runtime._mode == MODE_KERNEL
         ):
             # Single-source full scan in kernel storage mode: charge through
-            # an inline copy of Database.scan's FULL_SCAN memo -- directly,
-            # into the pending buffer of a verified batch, or not at all for
-            # a runtime-internal source, whose counters are unobservable --
-            # and materialise columns through the packed code arrays, cached
-            # per plan while the table object is unchanged.
+            # an inline copy of Database.scan's FULL_SCAN memo -- or not at
+            # all for a runtime-internal source, whose counters are
+            # unobservable -- and materialise columns through the packed
+            # code arrays, cached per plan while the table object is
+            # unchanged.
             db0 = sources[0]
             relation0 = db0.relations.get(step.predicate)
             n = len(relation0.table) if relation0 is not None else 0
@@ -1057,30 +992,14 @@ class JoinPlan:
                 table = relation0.table
                 if db0.counters is database.counters:
                     stamp = (n, table.mutations)
-                    if charges is DIRECT_CHARGES:
-                        charged = db0._charged.get(step.predicate)
-                        if charged is None:
-                            charged = db0._charged[step.predicate] = {}
-                        if charged.get(FULL_SCAN) == stamp:
-                            db0.counters.fact_retrievals += n
-                        else:
-                            db0._charge(step.predicate, table.all_rows())
-                            charged[FULL_SCAN] = stamp
+                    charged = db0._charged.get(step.predicate)
+                    if charged is None:
+                        charged = db0._charged[step.predicate] = {}
+                    if charged.get(FULL_SCAN) == stamp:
+                        db0.counters.fact_retrievals += n
                     else:
-                        pend = charges._pending(db0)
-                        memo_key = (step.predicate, FULL_SCAN)
-                        known = pend.memo.get(memo_key)
-                        if known is None:
-                            charged = db0._charged.get(step.predicate)
-                            if charged is not None:
-                                known = charged.get(FULL_SCAN)
-                        if known == stamp:
-                            pend.retrievals += n
-                        else:
-                            charges._charge_rows(
-                                pend, step.predicate, table.all_rows()
-                            )
-                            pend.memo[memo_key] = stamp
+                        db0._charge(step.predicate, table.all_rows())
+                        charged[FULL_SCAN] = stamp
                 if info.out_take:
                     cached = self._scan0
                     if (
@@ -1111,7 +1030,7 @@ class JoinPlan:
         else:
             rows0: List[Row] = []
             for db in sources:
-                found = charges.scan(db, step.predicate, bindings0, step.intra_eq)
+                found = db.scan(step.predicate, bindings0, step.intra_eq)
                 if found:
                     rows0 = found if not rows0 else rows0 + found
             n = len(rows0)
@@ -1120,7 +1039,7 @@ class JoinPlan:
                     cols[slot] = [row[position] for row in rows0]
         rows_in = n
         if n:
-            kept = self._batch_filters(step, info, cols, n, database, charges)
+            kept = self._batch_filters(step, info, cols, n, database)
             if kept != n:
                 n = kept
                 ccols = {}
@@ -1135,14 +1054,6 @@ class JoinPlan:
             info = infos[index]
             entering = n
             const_dict = info.const_dict
-            record_keys: Optional[Set[tuple]] = None
-            record_positions = info.record_positions
-            if verify:
-                if info.loose:
-                    loose_probed = True
-                elif record_positions is not None:
-                    record_keys = set()
-                    recorded.append((record_positions, record_keys))
             key_slots = info.key_slots
             out_parent: List[int] = []
             out_rows: List[Row] = []
@@ -1150,9 +1061,7 @@ class JoinPlan:
             extend_rows = out_rows.extend
             # Keyed scans in kernel storage mode go through inline index
             # probes: same buckets, same charging memo, none of the
-            # per-probe scan machinery.  Under a pending transaction the
-            # probes buffer their charges (BufferedProbe) and the join
-            # records every probed key for the verification pass.
+            # per-probe scan machinery.
             kernel = None
             if (
                 key_slots
@@ -1164,28 +1073,18 @@ class JoinPlan:
                     step.predicate,
                     info.probe_positions,
                     database.counters,
-                    None if charges is DIRECT_CHARGES else charges,
                 )
-                if kernel is not None and not kernel and record_keys is not None:
-                    # No source holds the relation, but the verification
-                    # pass still needs the probed keys (the row loop's scans
-                    # would observe the relation once the consumer creates
-                    # it): use the generic path, whose misses record them.
-                    kernel = None
             if kernel is not None:
                 scan = None
                 if kernel:
                     ck = None
-                    if ccols and record_keys is None:
+                    if ccols:
                         ck = [ccols.get(slot) for slot in key_slots]
                         if any(column is None for column in ck):
                             ck = None
-                    self._kernel_join(
-                        kernel, info, cols, out_parent, out_rows, record_keys, ck
-                    )
+                    self._kernel_join(kernel, info, cols, out_parent, out_rows, ck)
             else:
                 scan = BatchScan(
-                    charges,
                     step.predicate,
                     step.intra_eq,
                     self._batch_sources(step, database, derived),
@@ -1208,10 +1107,6 @@ class JoinPlan:
                         else:
                             bindings = {position: value}
                         rows = miss(value, bindings)
-                        if record_keys is not None:
-                            record_keys.add(
-                                tuple(bindings[p] for p in record_positions)
-                            )
                     else:
                         replay(hit)
                         rows = hit[0]
@@ -1228,10 +1123,6 @@ class JoinPlan:
                         for position, value in zip(positions, key):
                             bindings[position] = value
                         rows = miss(key, bindings)
-                        if record_keys is not None:
-                            record_keys.add(
-                                tuple(bindings[p] for p in record_positions)
-                            )
                     else:
                         replay(hit)
                         rows = hit[0]
@@ -1243,8 +1134,6 @@ class JoinPlan:
                 # constant-bound) bucket -- one real scan, n-1 replays.
                 bindings = dict(const_dict) if const_dict else None
                 rows = miss((), bindings)
-                if record_keys is not None:
-                    record_keys.add(tuple(bindings[p] for p in record_positions))
                 if rows:
                     count = len(rows)
                     hit = cache[()]
@@ -1272,7 +1161,7 @@ class JoinPlan:
                     if slot in wanted and slot in new_cols:
                         carried[slot] = [column[parent] for parent in out_parent]
                 ccols = carried
-            kept = self._batch_filters(step, info, cols, n, database, charges)
+            kept = self._batch_filters(step, info, cols, n, database)
             if kept != n:
                 n = kept
                 ccols = {}
@@ -1300,9 +1189,6 @@ class JoinPlan:
         else:
             heads = []
 
-        if verify and heads and self._verify_batch(database, heads, recorded, loose_probed):
-            return None
-
         stats.batches += 1
         stats.rows_in += rows_in
         stats.rows_out += len(heads)
@@ -1320,7 +1206,6 @@ class JoinPlan:
         cols: Dict[int, list],
         out_parent: List[int],
         out_rows: List[Row],
-        record_keys: Optional[Set[tuple]] = None,
         code_columns: Optional[list] = None,
     ) -> None:
         """Expand one keyed scan step through inline kernel index probes.
@@ -1332,11 +1217,7 @@ class JoinPlan:
         ``code_columns`` supplies the already-interned key columns (threaded
         through the batch from a step-0 column scan), in which case probes
         use the codes directly; column values always come from stored rows,
-        so the interner-miss probe shape cannot arise for them.  When
-        ``record_keys`` is given (a verified batch probing an unsafe step),
-        every probed *value* key -- bound values in sorted argument-position
-        order, exactly the tuples the generic path records -- is added to it
-        (callers pass ``code_columns=None`` then).
+        so the interner-miss probe shape cannot arise for them.
         """
         code_get = probes[0].code_map.get
         append_parent = out_parent.append
@@ -1346,11 +1227,6 @@ class JoinPlan:
         key_slots = info.key_slots
         consts = info.probe_consts
         base = None
-        vbase = None
-        if record_keys is not None:
-            vbase = list(info.probe_template)
-            for hole, value in consts:
-                vbase[hole] = value
         if consts:
             base = list(info.probe_template)
             for hole, value in consts:
@@ -1362,14 +1238,6 @@ class JoinPlan:
                     # the memo and add zero, exactly like the row loop).
                     for probe in probes:
                         probe.lookup(None)
-                    if record_keys is not None:
-                        record = record_keys.add
-                        slot_targets = info.probe_slots
-                        for key in zip(*[cols[slot] for slot in key_slots]):
-                            values = vbase[:]
-                            for vhole, key_index in slot_targets:
-                                values[vhole] = key[key_index]
-                            record(tuple(values))
                     return
                 base[hole] = code
         if len(probes) == 1 and len(key_slots) == 1 and base is None:
@@ -1378,7 +1246,7 @@ class JoinPlan:
                 code_columns[0] if code_columns is not None else cols[key_slots[0]]
             )
             coded = code_columns is not None
-            if record_keys is None and not probe.charging and probe.index is not None:
+            if not probe.charging and probe.index is not None:
                 # Hottest shape of the fixpoint inner loop -- single-key
                 # probes into the per-round delta: raw dict gets only.
                 index_get = probe.index.get
@@ -1407,21 +1275,9 @@ class JoinPlan:
                             extend_rows(rows)
                 return
             lookup = probe.lookup
-            if record_keys is None:
-                if coded:
-                    for i, code in enumerate(column):
-                        rows = lookup((code,))
-                        if rows:
-                            if len(rows) == 1:
-                                append_parent(i)
-                                append_row(rows[0])
-                            else:
-                                extend_parents(_repeat(i, len(rows)))
-                                extend_rows(rows)
-                    return
-                for i, value in enumerate(column):
-                    code = code_get(value)
-                    rows = lookup(None if code is None else (code,))
+            if coded:
+                for i, code in enumerate(column):
+                    rows = lookup((code,))
                     if rows:
                         if len(rows) == 1:
                             append_parent(i)
@@ -1429,13 +1285,15 @@ class JoinPlan:
                         else:
                             extend_parents(_repeat(i, len(rows)))
                             extend_rows(rows)
-            else:
-                record = record_keys.add
-                for i, value in enumerate(column):
-                    record((value,))
-                    code = code_get(value)
-                    rows = lookup(None if code is None else (code,))
-                    if rows:
+                return
+            for i, value in enumerate(column):
+                code = code_get(value)
+                rows = lookup(None if code is None else (code,))
+                if rows:
+                    if len(rows) == 1:
+                        append_parent(i)
+                        append_row(rows[0])
+                    else:
                         extend_parents(_repeat(i, len(rows)))
                         extend_rows(rows)
             return
@@ -1465,13 +1323,7 @@ class JoinPlan:
                         extend_rows(rows)
             return
         key_columns = [cols[slot] for slot in key_slots]
-        record = record_keys.add if record_keys is not None else None
         for i, key in enumerate(zip(*key_columns)):
-            if record is not None:
-                values = vbase[:]
-                for hole, key_index in slot_targets:
-                    values[hole] = key[key_index]
-                record(tuple(values))
             template = template0[:]
             for hole, key_index in slot_targets:
                 code = code_get(key[key_index])
@@ -1550,7 +1402,6 @@ class JoinPlan:
         cols: Dict[int, list],
         n: int,
         database: Database,
-        charges,
     ) -> int:
         """Apply the step's builtin checks and negation anti-joins in place.
 
@@ -1581,11 +1432,7 @@ class JoinPlan:
                 and _storage_runtime._mode == MODE_KERNEL
             ):
                 kernel = build_probes(
-                    (database,),
-                    neg.predicate,
-                    neg_info.probe_positions,
-                    database.counters,
-                    None if charges is DIRECT_CHARGES else charges,
+                    (database,), neg.predicate, neg_info.probe_positions, database.counters
                 )
                 if kernel is not None:
                     if not kernel:
@@ -1599,7 +1446,7 @@ class JoinPlan:
                             cols[slot] = [v for v, ok in zip(column, mask) if ok]
                         n = kept
                     continue
-            scan = BatchScan(charges, neg.predicate, neg.intra_eq, (database,))
+            scan = BatchScan(neg.predicate, neg.intra_eq, (database,))
             cache = scan.cache
             get = cache.get
             miss = scan.miss
@@ -1655,42 +1502,6 @@ class JoinPlan:
                 cols[slot] = [v for v, ok in zip(column, mask) if ok]
             n = kept
         return n
-
-    def _verify_batch(
-        self,
-        database: Database,
-        heads: List[Row],
-        recorded: List[Tuple[Tuple[int, ...], Set[tuple]]],
-        loose_probed: bool,
-    ) -> bool:
-        """True when a produced head row overlaps a recorded probe key.
-
-        The consumer will insert exactly the *fresh* head rows (the ones not
-        already stored).  The row-at-a-time loop diverges from the batch only
-        if some scan of the head relation could have returned one of those
-        rows mid-enumeration -- i.e. the row projects onto a probed key (or
-        any fresh row exists while an unkeyed full scan of the head relation
-        was probed).  Membership checks here are uncharged by design.
-        """
-        relation = database.relations.get(self.head.predicate)
-        contains = relation.table.contains if relation is not None else None
-        fresh: List[Row] = []
-        seen: Set[Row] = set()
-        for row in heads:
-            if row in seen:
-                continue
-            seen.add(row)
-            if contains is None or not contains(row):
-                fresh.append(row)
-        if not fresh:
-            return False
-        if loose_probed:
-            return True
-        for positions, keys in recorded:
-            for row in fresh:
-                if tuple(row[position] for position in positions) in keys:
-                    return True
-        return False
 
     def _batch_sources(
         self,
@@ -2315,7 +2126,7 @@ def rule_plan(
     has_derived: bool = False,
     database=None,
 ) -> JoinPlan:
-    """Cached plan for a full rule (the :func:`instantiate_rule` entry point)."""
+    """Cached plan for a full rule: its body compiled against its head."""
     statistics, suffix = _body_statistics(rule.body, database)
     key = ("rule", rule, bound_vars, derived_only_for, has_derived) + suffix
     return _cached_plan(

@@ -42,7 +42,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .abstract import AbstractAnalysis
+from .abstract import AbstractAnalysis, database_ref
 from .analysis import ProgramAnalysis, reachable_from
 from .literals import Literal
 from .rules import Program, Rule
@@ -151,16 +151,15 @@ def optimize(
     (dead-code elimination is relative to them; when empty, every predicate
     is treated as live).  ``database`` supplies the extensional facts the
     never-fires and constant-propagation passes reason from; results are
-    memoized per program instance and database version.
+    memoized per program instance, database object and database version.
     """
     queries_key = tuple(sorted(set(queries)))
-    version = database.version if database is not None else None
-    key = (queries_key, None if database is None else id(database), version)
+    key = (queries_key, database.version if database is not None else None)
     memo = program.__dict__.get("_transform_memo")
-    if memo is not None and memo[0] == key:
-        return memo[1]
+    if memo is not None and memo[0] == key and memo[1]() is database:
+        return memo[2]
     result = _optimize(program, queries_key, database)
-    program._transform_memo = (key, result)
+    program._transform_memo = (key, database_ref(database), result)
     return result
 
 

@@ -1,13 +1,13 @@
-"""Substitutions, matching, and rule instantiation over a database.
+"""Substitutions, matching, and body satisfaction over a database.
 
 The bottom-up engines repeatedly need the set of instantiations ``sigma`` of
 a rule's variables such that every body literal, instantiated by ``sigma``,
 is a fact of the (extensional or derived) database.  Historically this module
 interpreted the body per tuple with a recursive nested-loop join; the public
-entry points (:func:`satisfy_body`, :func:`instantiate_rule`) are now thin
-wrappers over the compiled join plans of :mod:`repro.datalog.plans`, which
-analyse each body once -- literal reordering, built-in placement, positional
-binding slots -- and are shared (and cached) across every engine.  Built-in
+entry point :func:`satisfy_body` is now a thin wrapper over the compiled
+join plans of :mod:`repro.datalog.plans`, which analyse each body once --
+literal reordering, built-in placement, positional binding slots -- and are
+shared (and cached) across every engine.  Built-in
 comparisons that can never become ground are rejected at plan-compilation
 time with :class:`~repro.datalog.errors.EvaluationError` rather than cycling
 forever through a deferral queue.
@@ -15,11 +15,11 @@ forever through a deferral queue.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence
 
 from .database import Database, Row
 from .literals import Literal
-from .plans import body_plan, rule_plan
+from .plans import body_plan
 from .rules import Rule
 from .terms import AggregateTerm, Constant, Term, Variable
 
@@ -118,27 +118,6 @@ def satisfy_body(
         has_derived=derived is not None,
     )
     return plan.substitutions(database, derived=derived, initial=initial)
-
-
-def instantiate_rule(
-    rule: Rule,
-    database: Database,
-    derived: Optional[Database] = None,
-    initial: Optional[Substitution] = None,
-    derived_only_for: Optional[Iterable[str]] = None,
-) -> Iterator[Tuple[Row, Substitution]]:
-    """Enumerate head rows derivable by one application of ``rule``.
-
-    Yields ``(head_row, substitution)`` pairs.  The head row contains raw
-    constant values (not :class:`Constant` wrappers).
-    """
-    plan = rule_plan(
-        rule,
-        bound_vars=frozenset(initial) if initial else frozenset(),
-        derived_only_for=frozenset(derived_only_for) if derived_only_for else frozenset(),
-        has_derived=derived is not None,
-    )
-    return plan.pairs(database, derived=derived, initial=initial)
 
 
 def rename_apart(rule: Rule, suffix: str) -> Rule:

@@ -104,13 +104,14 @@ def _batch_heads(
     """All head rows of one whole-batch plan execution, or ``None``.
 
     ``None`` -- because the interpreted reference mode is selected, the
-    plan's shape is not batchable, or an optimistic batch was discarded --
-    sends the caller to the row-at-a-time ``plan.heads`` loop.  Every caller
-    (:func:`_fire`) satisfies
-    :meth:`~repro.datalog.plans.JoinPlan.head_batch`'s consumption contract:
-    between the call and the insertion of the returned rows, only the plan's
-    head relation of ``database`` (and databases the plan does not read) is
-    written.
+    plan's shape is not batchable, or the plan is self-feeding and the
+    caller may write ``database`` (``frozen`` unset) -- sends the caller to
+    the row-at-a-time ``plan.heads`` loop.  Every caller (:func:`_fire`)
+    satisfies :meth:`~repro.datalog.plans.JoinPlan.head_batch`'s
+    consumption contract: between the call and the insertion of the
+    returned rows, only the plan's head relation of ``database`` (and
+    databases the plan does not read) is written; ``frozen`` callers write
+    none of ``database``.
     """
     if _plans._mode == _plans._MODE_INTERPRETED:
         return None
@@ -926,7 +927,8 @@ def _dred_delete(
             for plan in plans:
                 # The overdelete loop never mutates ``database`` (it only
                 # accumulates into ``overdeleted``/``next_frontier``), so
-                # even self-feeding-shaped plans batch without verification.
+                # self-feeding plans batch here instead of taking the row
+                # loop: no probe can see a row written mid-firing.
                 _fire(
                     plan, head_predicate, database, frontier, counters,
                     collect=next_frontier, target=overdeleted, derive=False,

@@ -34,16 +34,16 @@ class BatchStats:
     Attributes
     ----------
     batches:
-        Number of batch plan executions committed.
+        Number of batch plan executions.
     rows_in:
         Rows entering the pipelines (the depth-0 scan sizes).
     rows_out:
-        Head rows leaving committed batch executions.
+        Head rows leaving batch executions.
     fallbacks:
-        Plan executions that ran the row-at-a-time loop instead -- either
-        statically (a shape the batch executor does not handle) or because
-        the optimistic batch of a self-feeding plan was discarded by the
-        probe-overlap verification.
+        Plan executions that ran the row-at-a-time loop instead: one per
+        firing of a shape the batch executor does not handle, or of a
+        self-feeding plan (a later step scans the rule's own head relation)
+        whose caller may write the database mid-firing.
     shards:
         Worker tasks of the parallel fixpoint offload (``repro.parallel``):
         one per worker for every component whose delta rounds ran on the

@@ -14,6 +14,8 @@ Layer map::
     interner.py   constants <-> dense int codes (process-wide bijection)
     table.py      n-ary interned row tables: subset + adjacency indexes, COW
     pairs.py      binary relations as shared successor indexes + builders
+    columns.py    batch scans for the columnar join executor: column
+                  extraction, charging index probes, distinct-key scan cache
     runtime.py    the kernel/reference mode switch for differential testing
 
 The work counters of :mod:`repro.instrumentation` measure *retrievals*, not

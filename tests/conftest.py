@@ -10,7 +10,7 @@ from repro.engines import runtime
 
 #: A matrix cell that runs the default ``columnar`` mode with every runtime
 #: firing sent through the plan's row executor -- the path unbatchable
-#: shapes and discarded optimistic batches take.  It must charge exactly
+#: shapes and non-frozen self-feeding plans take.  It must charge exactly
 #: what the batch kernel and the interpreted oracle charge.
 ROW_FALLBACK = "row-fallback"
 

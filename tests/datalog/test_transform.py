@@ -6,12 +6,17 @@ engine x storage mode x plan mode x execution mode; the golden explain test
 pins the dead-rule-elimination report the acceptance criteria ask for.
 """
 
+import gc
+
 import pytest
 
+from repro.datalog import abstract, transform
+from repro.datalog.abstract import AbstractAnalysis
 from repro.datalog.database import Database
 from repro.datalog.errors import NotApplicableError
 from repro.datalog.parser import parse_literal, parse_program, parse_query
 from repro.datalog.plans import plan_mode
+from repro.datalog.semantics import answer_query
 from repro.datalog.transform import (
     TransformReport,
     get_program_opt,
@@ -158,8 +163,6 @@ class TestPasses:
         assert len(result.program.idb_rules()) == 2
 
     def test_semantics_preserved_on_fixture(self):
-        from repro.datalog.semantics import answer_query
-
         program = parse_program(FIXTURE)
         optimized = optimize(program, queries=("tc",)).program
         query = parse_literal("tc(X, Y)")
@@ -182,6 +185,61 @@ class TestEngineIntegration:
         assert optimized.answers == baseline.answers
         report = optimized.details["program_opt"]
         assert report[0].startswith("program optimizer: rules")
+
+
+class TestMemoIdentity:
+    """The analysis and optimizer memos recognise a database by identity.
+
+    ``Engine.answer`` builds a fresh overlay per call.  Once one is freed,
+    CPython may allocate the next at the same address, so a memo keyed by
+    address (and version) would serve one database's analysis and rewrite
+    to another.
+    """
+
+    PROGRAM = "q(X) :- e(X, Y), f(Y)."
+
+    @staticmethod
+    def edb(i):
+        return Database.from_dict({"e": [(i, i + 1)], "f": [(i + 1,)]})
+
+    def test_answers_over_short_lived_overlays(self):
+        program = parse_program(self.PROGRAM)
+        query = parse_literal("q(X)")
+        engine = get_engine("seminaive")
+        databases = [self.edb(i) for i in range(20)]
+        assert {database.version for database in databases} == {2}
+        expected = [answer_query(program, query, database) for database in databases]
+        wrong = []
+        with program_opt("on"):
+            for _ in range(20):
+                for i, database in enumerate(databases):
+                    answers = engine.answer(program, query, database).answers
+                    if answers != expected[i]:
+                        wrong.append((i, answers))
+                    gc.collect()
+        assert wrong == []
+
+    def test_memos_ignore_addresses(self, monkeypatch):
+        # Every database at one address -- the worst case of a sequence of
+        # overlays that each die before the next one is allocated.
+        for module in (abstract, transform):
+            monkeypatch.setattr(module, "id", lambda obj: 0, raising=False)
+        program = parse_program(self.PROGRAM)
+        query = parse_literal("q(X)")
+        for i in range(3):
+            database = self.edb(i)
+            domain = AbstractAnalysis.of(program, database).domain_of("e")
+            assert domain.columns[0].singleton_value() == i
+            rewritten = optimize(program, ("q",), database).program
+            assert answer_query(rewritten, query, database) == {(i,)}
+
+    def test_optimizer_memo_hits_per_database_version(self):
+        program = parse_program(self.PROGRAM)
+        database = self.edb(0)
+        result = optimize(program, ("q",), database)
+        assert optimize(program, ("q",), database) is result
+        database.add_fact("e", (5, 6))
+        assert optimize(program, ("q",), database) is not result
 
 
 DIFFERENTIAL_PROGRAMS = [

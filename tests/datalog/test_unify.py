@@ -8,7 +8,6 @@ from repro.datalog.terms import Variable
 from repro.datalog.unify import (
     apply_to_literal,
     apply_to_rule,
-    instantiate_rule,
     match_literal,
     rename_apart,
     satisfy_body,
@@ -108,19 +107,6 @@ class TestSatisfyBody:
         assert {s[X] for s in both} == {"a", "b"}
         delta_only = list(satisfy_body(body, base, derived=delta, derived_only_for={"p"}))
         assert {s[X] for s in delta_only} == {"b"}
-
-
-class TestInstantiateRule:
-    def test_transitive_step(self):
-        db = Database.from_dict({"e": [(1, 2), (2, 3)], "tc": [(2, 3)]})
-        r = Rule(lit("tc", "X", "Y"), [lit("e", "X", "Z"), lit("tc", "Z", "Y")])
-        heads = {row for row, _ in instantiate_rule(r, db)}
-        assert heads == {(1, 3)}
-
-    def test_fact_rule_requires_no_db(self):
-        r = Rule(lit("p", "a", "b"))
-        heads = {row for row, _ in instantiate_rule(r, Database())}
-        assert heads == {("a", "b")}
 
 
 class TestRenameApart:

@@ -48,9 +48,9 @@ class TestBatchStats:
         assert counters.as_dict() == columnar_counters.as_dict()
 
     def test_self_feeding_round_zero_counts_a_fallback(self):
-        # The recursive self-join of round 0 must discard its optimistic
-        # batch (the row loop's mid-firing probes are observable) and is
-        # recorded as a fallback rather than silently absorbed.
+        # The recursive self-join of round 0 runs the row loop (its
+        # mid-firing probes are observable) and is recorded as a fallback
+        # rather than silently absorbed.
         result, _ = _run(binary_tree(4))
         assert result.batch_stats.fallbacks > 0
 

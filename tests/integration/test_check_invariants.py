@@ -1,8 +1,9 @@
 """The repo invariant checker (``tools/check_invariants.py``).
 
 Pins three things: the real source tree is clean, a synthetic violation of
-each rule is flagged with an exact ``line:column``, and the
-``self``/storage-package exemptions hold so the checker never cries wolf.
+each rule (storage encapsulation, no threads, no ``id()``) is flagged with
+an exact ``line:column``, and the ``self``/storage-package exemptions hold
+so the checker never cries wolf.
 """
 
 import subprocess
@@ -92,6 +93,31 @@ class TestNoThreads:
         inside = nested / "table.py"
         inside.write_text("import threading\nclass W(threading.Thread):\n    pass\n")
         assert check_invariants.check_tree([tmp_path / "src"]) == 1
+
+
+class TestNoIdCalls:
+    def test_flags_id_call(self, tmp_path):
+        source = tmp_path / "memo.py"
+        source.write_text(
+            "def key(program, database):\n"
+            "    return (program, id(database))\n"
+        )
+        violations = check_invariants.check_file(source)
+        assert len(violations) == 1
+        line, column, message = violations[0]
+        assert (line, column) == (2, 22)
+        assert "`id()`" in message and "weakref" in message
+
+    def test_identity_without_addresses_is_clean(self, tmp_path):
+        source = tmp_path / "memo.py"
+        source.write_text(
+            "import weakref\n"
+            "def hit(memo, database):\n"
+            "    return memo[0]() is database\n"
+            "def remember(database, rule):\n"
+            "    return weakref.ref(database), rule.id\n"
+        )
+        assert check_invariants.check_file(source) == []
 
 
 class TestRepoTree:

@@ -149,29 +149,21 @@ class TestProbeCharging:
 class TestProbeCache:
     def test_probe_reused_while_table_unchanged(self):
         db = Database.from_dict({"e": [("a", "b")]}, counters=Counters())
-        first = build_probes([db], "e", (0,), db.counters, None)
-        second = build_probes([db], "e", (0,), db.counters, None)
+        first = build_probes([db], "e", (0,), db.counters)
+        second = build_probes([db], "e", (0,), db.counters)
         assert first[0] is second[0]
 
     def test_mutation_invalidates_cached_probe(self):
         db = Database.from_dict({"e": [("a", "b")]}, counters=Counters())
-        (cached,) = build_probes([db], "e", (0,), db.counters, None)
+        (cached,) = build_probes([db], "e", (0,), db.counters)
         db.add_fact("e", ("c", "d"))
-        (rebuilt,) = build_probes([db], "e", (0,), db.counters, None)
+        (rebuilt,) = build_probes([db], "e", (0,), db.counters)
         assert rebuilt is not cached
 
     def test_instrumentation_reset_drops_cached_probes(self):
         db = Database.from_dict({"e": [("a", "b")]}, counters=Counters())
-        (cached,) = build_probes([db], "e", (0,), db.counters, None)
+        (cached,) = build_probes([db], "e", (0,), db.counters)
         db.reset_instrumentation(Counters())
-        (rebuilt,) = build_probes([db], "e", (0,), db.counters, None)
+        (rebuilt,) = build_probes([db], "e", (0,), db.counters)
         assert rebuilt is not cached
         assert rebuilt.counters is db.counters
-
-    def test_pending_transactions_are_never_cached(self):
-        db = Database.from_dict({"e": [("a", "b")]}, counters=Counters())
-        from repro.storage.columns import PendingCharges
-
-        first = build_probes([db], "e", (0,), db.counters, PendingCharges())
-        second = build_probes([db], "e", (0,), db.counters, PendingCharges())
-        assert first[0] is not second[0]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Repo invariant checker: storage encapsulation and no threads in ``repro``.
+"""Repo invariant checker: storage encapsulation, no threads, no ``id()``.
 
-Two rules, checked over the source tree's ASTs:
+Three rules, checked over the source tree's ASTs:
 
 * **Storage internals stay inside ``repro.storage``.**  The
   :class:`repro.storage.table.IntTable` row map, subset indexes, lag
@@ -21,6 +21,13 @@ Two rules, checked over the source tree's ASTs:
   attribute or through ``from threading import Thread`` -- is rejected
   anywhere, the storage package included.  Locks stay allowed: they guard
   process-wide structures that user threads can reach.
+* **No object addresses.**  A call of the builtin ``id`` (bare or as
+  ``builtins.id``) is rejected anywhere.  A memo or set keyed by an
+  address matches whatever object is allocated at that address after the
+  first one is freed -- ``Engine.answer`` builds a fresh database overlay
+  per call, so a later call can land on an earlier one's address.  Hold
+  the object itself, a ``weakref`` to it, or a key that names it (an
+  index, a name).
 
 Usage::
 
@@ -79,6 +86,20 @@ def _is_thread(node: ast.AST) -> bool:
     return False
 
 
+def _is_id_call(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id == "id"
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr == "id"
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "builtins"
+    )
+
+
 def check_file(path: Path) -> List[Tuple[int, int, str]]:
     """Rule violations in one file as ``(line, col, message)``."""
     try:
@@ -95,6 +116,15 @@ def check_file(path: Path) -> List[Tuple[int, int, str]]:
                     node.col_offset + 1,
                     "`threading.Thread` in repro; evaluation runs on the "
                     "caller's thread and parallelism is fork-only",
+                )
+            )
+        elif _is_id_call(node):
+            violations.append(
+                (
+                    node.lineno,
+                    node.col_offset + 1,
+                    "`id()` in repro; an address can name a later object once "
+                    "the first is freed -- key by the object, a weakref or a name",
                 )
             )
         elif (
