@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from itertools import repeat as _repeat
 from typing import (
+    Collection,
     Dict,
     FrozenSet,
     Iterable,
@@ -231,13 +232,13 @@ class Database:
         # instrumentation resets.
         self._charged: Dict[str, Dict[BucketToken, int]] = {}
         # Direct-charging kernel probes reused across batches: (predicate,
-        # probe positions) -> (relation, table mutation epoch, probe).  A
-        # probe is valid while the relation object and its table's mutation
-        # epoch are unchanged (and is dropped wholesale on instrumentation
-        # resets, which swap the counters object it charges).  Reuse keeps
-        # the probe's per-batch key memo warm across fixpoint rounds for
-        # static relations.
-        self._probe_cache: Dict[Tuple[str, Tuple[int, ...]], tuple] = {}
+        # probe positions, intra-row equalities) -> (relation, table
+        # mutation epoch, probe).  A probe is valid while the relation
+        # object and its table's mutation epoch are unchanged (and is
+        # dropped wholesale on instrumentation resets, which swap the
+        # counters object it charges).  Reuse keeps the probe's per-batch
+        # key memo warm across fixpoint rounds for static relations.
+        self._probe_cache: Dict[tuple, tuple] = {}
         # Per-(predicate, position) image context: the adjacency dict, the
         # interner lookup and the charged-bucket memo for :meth:`image`,
         # validated per call by adjacency-dict identity (a cloned or unshared
@@ -570,23 +571,8 @@ class Database:
         # is live internal state and must be snapshotted before returning.
         result = candidates if token is FULL_SCAN else list(candidates)
         if charge:
-            # Bucket-level charging memo (kernel mode): once a whole bucket
-            # has been charged, every row is already in ``_touched``, so a
-            # repeat retrieval can bump ``fact_retrievals`` by the bucket
-            # size directly.  Any table mutation since the charge -- growth,
-            # or a delete-then-refill restoring the size, by this database
-            # or by a sibling sharing the relation -- fails the epoch check
-            # and the bucket is re-charged row by row.
             if _storage_runtime._mode == MODE_KERNEL:
-                charged = self._charged.get(predicate)
-                if charged is None:
-                    charged = self._charged[predicate] = {}
-                stamp = (len(result), relation.table.mutations)
-                if charged.get(token) == stamp:
-                    self.counters.fact_retrievals += stamp[0]
-                else:
-                    self._charge(predicate, result)
-                    charged[token] = stamp
+                self.charge_bucket(predicate, token, result, relation.table.mutations)
             else:
                 self._charge(predicate, result)
         return result
@@ -705,6 +691,32 @@ class Database:
             before = len(touched)
             touched.update(zip(_repeat(predicate), rows))
             counters.distinct_facts += len(touched) - before
+
+    def charge_bucket(
+        self,
+        predicate: str,
+        token: BucketToken,
+        rows: Collection[Row],
+        mutations: int,
+    ) -> None:
+        """Charge one retrieval of a whole bucket through the charging memo.
+
+        ``token`` names the bucket (see :meth:`IntTable.bucket
+        <repro.storage.table.IntTable.bucket>`) and ``mutations`` is its
+        table's mutation epoch (see ``_charged`` for when a memo hit is
+        exact).  This is :meth:`scan`'s kernel-mode charge; the batch
+        executor's step-0 full scan passes the table's row view, so a memo
+        hit never materialises the rows.
+        """
+        charged = self._charged.get(predicate)
+        if charged is None:
+            charged = self._charged[predicate] = {}
+        stamp = (len(rows), mutations)
+        if charged.get(token) == stamp:
+            self.counters.fact_retrievals += stamp[0]
+        else:
+            self._charge(predicate, rows)
+            charged[token] = stamp
 
     def reset_instrumentation(self, counters: Optional[Counters] = None) -> None:
         """Start a fresh measurement (optionally swapping the counter object)."""

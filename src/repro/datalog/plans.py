@@ -20,13 +20,16 @@ each body **once** into a :class:`JoinPlan`:
   and ``seminaive.py``, which had drifted apart);
 * the fixpoint runtime fires a plan as one columnar batch
   (:meth:`JoinPlan.head_batch`): every scan step processes the whole
-  binding batch over interned code columns, one indexed probe per distinct
-  join key; the generator entry points, the shapes a batch cannot run and
-  the firings of a self-feeding plan (one whose later step scans its own
-  head relation) use a flat iterative backtracking loop that drives
-  :meth:`repro.datalog.database.Database.scan` with a positional slot
-  array.  Neither path materialises substitution dictionaries or
-  re-wrapped literals on the hot path.
+  binding batch over interned code columns -- a keyed step and each
+  negation through one probe of the one database the step reads
+  (:func:`repro.storage.columns.build_probe`), a keyless step through one
+  :meth:`~repro.datalog.database.Database.scan` whose repeats are charged
+  by bucket size; the generator entry points, the shapes a batch cannot
+  run and the firings of a self-feeding plan (one whose later step scans
+  its own head relation) use a flat iterative backtracking loop that
+  drives :meth:`~repro.datalog.database.Database.scan` with a positional
+  slot array.  Neither path materialises substitution dictionaries or
+  re-wrapped literals on the hot path, and neither reads the storage mode.
 
 Plans are cached (:func:`body_plan` / :func:`rule_plan` / :func:`delta_plan`)
 keyed by the body, the set of initially-bound variables and the delta
@@ -65,9 +68,7 @@ from typing import (
     Tuple,
 )
 
-from ..storage import runtime as _storage_runtime
-from ..storage.columns import BatchScan, build_probes, extern_columns
-from ..storage.runtime import MODE_KERNEL
+from ..storage.columns import build_probe, extern_columns
 from ..storage.table import FULL_SCAN
 from .database import Database, Row
 from .errors import EvaluationError
@@ -78,9 +79,8 @@ from .terms import AGGREGATE_FUNCTIONS, AggregateTerm, Constant, Variable
 Substitution = Dict[Variable, object]
 
 #: Where a scan step reads its rows from.
-SOURCE_MAIN = 0      # the primary database only
-SOURCE_DERIVED = 1   # the secondary (delta) database only
-SOURCE_BOTH = 2      # primary first, then secondary
+SOURCE_MAIN = 0      # the primary database
+SOURCE_DERIVED = 1   # the secondary (delta) database
 
 _MODE_INTERPRETED = "interpreted"
 _MODE_COLUMNAR = "columnar"
@@ -92,14 +92,14 @@ def set_execution_mode(mode: str) -> None:
 
     The columnar mode drives :meth:`JoinPlan.head_batch`, the whole-batch
     executor the stratified runtime fires rules through: each scan step
-    processes the entire binding batch at once -- one indexed probe per
-    distinct join key, vectorized builtin filters over value columns,
-    anti-join reducers for negation -- with charging replicated bit for bit
-    (see :mod:`repro.storage.columns`).  The plan's private row executor
-    serves the generator entry points (:meth:`JoinPlan.substitutions` /
-    :meth:`JoinPlan.heads`, whose callers may interleave arbitrary writes
-    with consumption) and the firings a batch cannot run (see
-    :meth:`JoinPlan.head_batch`).
+    processes the entire binding batch at once -- one index probe per parent
+    row through a per-key memo, vectorized builtin filters over value
+    columns, anti-join reducers for negation -- with charging replicated bit
+    for bit in both storage modes (see :mod:`repro.storage.columns`).  The
+    plan's private row executor serves the generator entry points
+    (:meth:`JoinPlan.substitutions` / :meth:`JoinPlan.heads`, whose callers
+    may interleave arbitrary writes with consumption) and the firings a
+    batch cannot run (see :meth:`JoinPlan.head_batch`).
 
     The interpreted mode runs the reference substitution-dictionary
     nested-loop join over the *same* plan (same literal order, same builtin
@@ -367,7 +367,7 @@ _SHAPE_SELF_FEEDING = 1
 #: caller-bound variables, or negation over the head relation).
 _SHAPE_NEVER = 2
 
-_SOURCE_TAG = {SOURCE_MAIN: ":", SOURCE_DERIVED: "#", SOURCE_BOTH: "+"}
+_SOURCE_TAG = {SOURCE_MAIN: ":", SOURCE_DERIVED: "#"}
 
 
 def _probe_recipe(
@@ -401,9 +401,7 @@ class _NegStepInfo:
 
     __slots__ = (
         "check",
-        "key_positions",
         "key_slots",
-        "const_dict",
         "probe_positions",
         "probe_template",
         "probe_consts",
@@ -412,15 +410,18 @@ class _NegStepInfo:
 
     def __init__(self, check: NegationCheck):
         self.check = check
-        self.key_positions = tuple(p for p, _ in check.slot_bindings)
         self.key_slots = tuple(s for _, s in check.slot_bindings)
-        self.const_dict = dict(check.const_bindings)
+        # Placement puts a negation with no named variable before step 0,
+        # so one placed at a step always probes on a join key.
+        assert self.key_slots, f"step-level negation {check.literal} has no join key"
         (
             self.probe_positions,
             self.probe_template,
             self.probe_consts,
             self.probe_slots,
-        ) = _probe_recipe(self.key_positions, self.const_dict)
+        ) = _probe_recipe(
+            tuple(p for p, _ in check.slot_bindings), dict(check.const_bindings)
+        )
 
 
 class _StepInfo:
@@ -436,7 +437,6 @@ class _StepInfo:
         "carry",
         "out_take",
         "alive",
-        "key_positions",
         "key_slots",
         "const_dict",
         "probe_positions",
@@ -601,11 +601,7 @@ class JoinPlan:
         wherever the batch executor recorded them, lining estimates up
         against reality.
         """
-        source_names = {
-            SOURCE_MAIN: "main",
-            SOURCE_DERIVED: "delta",
-            SOURCE_BOTH: "main+delta",
-        }
+        source_names = {SOURCE_MAIN: "main", SOURCE_DERIVED: "delta"}
 
         def fmt(value: float) -> str:
             return f"{value:.3g}"
@@ -763,25 +759,16 @@ class JoinPlan:
         database: Database,
         derived: Optional[Database],
     ) -> Iterator[Row]:
-        source = step.source
-        if source == SOURCE_MAIN:
-            sources: Tuple[Database, ...] = (database,)
-        elif source == SOURCE_DERIVED:
-            sources = (derived,) if derived is not None else ()
-        else:
-            sources = (database,) if derived is None else (database, derived)
+        source = database if step.source == SOURCE_MAIN else derived
+        if source is None:
+            return iter(())
         if step.slot_bindings or step.const_bindings:
             bindings = dict(step.const_bindings)
             for position, slot in step.slot_bindings:
                 bindings[position] = slots[slot]
         else:
             bindings = None
-        if len(sources) == 1:
-            return iter(sources[0].scan(step.predicate, bindings, step.intra_eq))
-        rows: List[Row] = []
-        for db in sources:
-            rows.extend(db.scan(step.predicate, bindings, step.intra_eq))
-        return iter(rows)
+        return iter(source.scan(step.predicate, bindings, step.intra_eq))
 
     # -- columnar batch executor -------------------------------------------
 
@@ -838,7 +825,6 @@ class JoinPlan:
             si.out_take = tuple(
                 (position, slot) for position, slot in step.outputs if slot in gather
             )
-            si.key_positions = tuple(p for p, _ in step.slot_bindings)
             si.key_slots = tuple(s for _, s in step.slot_bindings)
             si.const_dict = dict(step.const_bindings)
             (
@@ -846,7 +832,9 @@ class JoinPlan:
                 si.probe_template,
                 si.probe_consts,
                 si.probe_slots,
-            ) = _probe_recipe(si.key_positions, si.const_dict)
+            ) = _probe_recipe(
+                tuple(p for p, _ in step.slot_bindings), si.const_dict
+            )
             si.negs = tuple(_NegStepInfo(neg) for neg in step.neg_checks)
             step_infos[index] = si
             need = (need - produced) | set(si.key_slots) | (reads - produced)
@@ -962,8 +950,7 @@ class JoinPlan:
         infos = binfo.steps
         step = steps[0]
         info = infos[0]
-        sources = self._batch_sources(step, database, derived)
-        bindings0 = dict(step.const_bindings) if step.const_bindings else None
+        source = database if step.source == SOURCE_MAIN else derived
         node_updates: List[Tuple[str, int, int]] = []
         cols: Dict[int, list] = {}
         # Interned code columns threaded alongside ``cols`` for the slots
@@ -973,33 +960,29 @@ class JoinPlan:
         # value columns); probing falls back to the interner then.
         ccols: Dict[int, object] = {}
         wanted_after = binfo.wanted_after
-        if (
-            bindings0 is None
-            and not step.intra_eq
-            and len(sources) == 1
-            and _storage_runtime._mode == MODE_KERNEL
-        ):
-            # Single-source full scan in kernel storage mode: charge through
-            # an inline copy of Database.scan's FULL_SCAN memo -- or not at
-            # all for a runtime-internal source, whose counters are
+        n = 0
+        if source is None:
+            pass
+        elif step.const_bindings or step.intra_eq:
+            rows0 = source.scan(step.predicate, info.const_dict, step.intra_eq)
+            n = len(rows0)
+            if n:
+                for position, slot in info.out_take:
+                    cols[slot] = [row[position] for row in rows0]
+        else:
+            # Full scan: charge through Database.scan's bucket memo -- or
+            # not at all for a runtime-internal source, whose counters are
             # unobservable -- and materialise columns through the packed
             # code arrays, cached per plan while the table object is
             # unchanged.
-            db0 = sources[0]
-            relation0 = db0.relations.get(step.predicate)
+            relation0 = source.relations.get(step.predicate)
             n = len(relation0.table) if relation0 is not None else 0
             if n:
                 table = relation0.table
-                if db0.counters is database.counters:
-                    stamp = (n, table.mutations)
-                    charged = db0._charged.get(step.predicate)
-                    if charged is None:
-                        charged = db0._charged[step.predicate] = {}
-                    if charged.get(FULL_SCAN) == stamp:
-                        db0.counters.fact_retrievals += n
-                    else:
-                        db0._charge(step.predicate, table.all_rows())
-                        charged[FULL_SCAN] = stamp
+                if source.counters is database.counters:
+                    source.charge_bucket(
+                        step.predicate, FULL_SCAN, table.all_rows(), table.mutations
+                    )
                 if info.out_take:
                     cached = self._scan0
                     if (
@@ -1027,16 +1010,6 @@ class JoinPlan:
                         self._scan0 = (table, table.mutations, base, cbase)
                         cols = dict(base)
                         ccols = dict(cbase)
-        else:
-            rows0: List[Row] = []
-            for db in sources:
-                found = db.scan(step.predicate, bindings0, step.intra_eq)
-                if found:
-                    rows0 = found if not rows0 else rows0 + found
-            n = len(rows0)
-            if n:
-                for position, slot in info.out_take:
-                    cols[slot] = [row[position] for row in rows0]
         rows_in = n
         if n:
             kept = self._batch_filters(step, info, cols, n, database)
@@ -1053,95 +1026,38 @@ class JoinPlan:
             step = steps[index]
             info = infos[index]
             entering = n
-            const_dict = info.const_dict
             key_slots = info.key_slots
             out_parent: List[int] = []
             out_rows: List[Row] = []
-            extend_parents = out_parent.extend
-            extend_rows = out_rows.extend
-            # Keyed scans in kernel storage mode go through inline index
-            # probes: same buckets, same charging memo, none of the
-            # per-probe scan machinery.
-            kernel = None
-            if (
-                key_slots
-                and not step.intra_eq
-                and _storage_runtime._mode == MODE_KERNEL
-            ):
-                kernel = build_probes(
-                    self._batch_sources(step, database, derived),
+            source = database if step.source == SOURCE_MAIN else derived
+            if source is None:
+                pass
+            elif key_slots:
+                probe = build_probe(
+                    source,
                     step.predicate,
                     info.probe_positions,
                     database.counters,
+                    step.intra_eq,
                 )
-            if kernel is not None:
-                scan = None
-                if kernel:
+                if probe is not None:
                     ck = None
                     if ccols:
                         ck = [ccols.get(slot) for slot in key_slots]
                         if any(column is None for column in ck):
                             ck = None
-                    self._kernel_join(kernel, info, cols, out_parent, out_rows, ck)
-            else:
-                scan = BatchScan(
-                    step.predicate,
-                    step.intra_eq,
-                    self._batch_sources(step, database, derived),
-                )
-                cache = scan.cache
-                get = cache.get
-                miss = scan.miss
-                replay = scan.replay
-            if scan is None:
-                pass
-            elif len(key_slots) == 1:
-                # The overwhelmingly common join shape: one bound position.
-                position = info.key_positions[0]
-                for i, value in enumerate(cols[key_slots[0]]):
-                    hit = get(value)
-                    if hit is None:
-                        if const_dict:
-                            bindings = dict(const_dict)
-                            bindings[position] = value
-                        else:
-                            bindings = {position: value}
-                        rows = miss(value, bindings)
-                    else:
-                        replay(hit)
-                        rows = hit[0]
-                    if rows:
-                        extend_parents(_repeat(i, len(rows)))
-                        extend_rows(rows)
-            elif key_slots:
-                positions = info.key_positions
-                key_columns = [cols[slot] for slot in key_slots]
-                for i, key in enumerate(zip(*key_columns)):
-                    hit = get(key)
-                    if hit is None:
-                        bindings = dict(const_dict) if const_dict else {}
-                        for position, value in zip(positions, key):
-                            bindings[position] = value
-                        rows = miss(key, bindings)
-                    else:
-                        replay(hit)
-                        rows = hit[0]
-                    if rows:
-                        extend_parents(_repeat(i, len(rows)))
-                        extend_rows(rows)
+                    self._kernel_join(probe, info, cols, out_parent, out_rows, ck)
             else:
                 # No join key: every parent row scans the same (possibly
-                # constant-bound) bucket -- one real scan, n-1 replays.
-                bindings = dict(const_dict) if const_dict else None
-                rows = miss((), bindings)
+                # constant-bound) bucket -- one real scan, and the n-1
+                # repeats charged by bucket size, as a repeat scan charges.
+                rows = source.scan(step.predicate, info.const_dict, step.intra_eq)
                 if rows:
                     count = len(rows)
-                    hit = cache[()]
+                    source.counters.fact_retrievals += count * (n - 1)
                     for i in range(n):
-                        if i:
-                            replay(hit)
-                        extend_parents(_repeat(i, count))
-                        extend_rows(rows)
+                        out_parent.extend(_repeat(i, count))
+                    out_rows = rows * n
 
             n = len(out_rows)
             if not n:
@@ -1201,25 +1117,29 @@ class JoinPlan:
 
     @staticmethod
     def _kernel_join(
-        probes,
+        probe,
         info: _StepInfo,
         cols: Dict[int, list],
         out_parent: List[int],
         out_rows: List[Row],
         code_columns: Optional[list] = None,
     ) -> None:
-        """Expand one keyed scan step through inline kernel index probes.
+        """Expand one keyed scan step through one probe of its database.
 
-        One :meth:`KernelProbe.lookup` per parent row per source, in source
-        order -- the exact scan sequence of the row executor, with the
-        bucket-level memo making repeat keys O(1).  Join keys are interned
-        once per row through the shared interner's code map -- unless
-        ``code_columns`` supplies the already-interned key columns (threaded
-        through the batch from a step-0 column scan), in which case probes
-        use the codes directly; column values always come from stored rows,
-        so the interner-miss probe shape cannot arise for them.
+        One ``probe.lookup`` per parent row -- the exact scan sequence of
+        the row executor, with the bucket-level memo making repeat keys
+        O(1); a :class:`~repro.storage.columns.SilentProbe` over a scratch
+        delta is read straight through its index's ``get``, which applies
+        the step's intra-row equalities like every other lookup path.  Join
+        keys are interned once per row through the shared interner's code
+        map -- unless ``code_columns`` supplies the already-interned key
+        columns (threaded through the batch from a step-0 column scan), in
+        which case probes use the codes directly; column values always come
+        from stored rows, so the interner-miss probe shape cannot arise for
+        them.
         """
-        code_get = probes[0].code_map.get
+        code_get = probe.code_map.get
+        lookup = probe.lookup
         append_parent = out_parent.append
         append_row = out_rows.append
         extend_parents = out_parent.extend
@@ -1234,21 +1154,19 @@ class JoinPlan:
                 if code is None:
                     # A constant the interner has never seen: every probe is
                     # the shared ``(positions, None)`` empty bucket.  One
-                    # stamp per source charges the whole batch (repeats hit
-                    # the memo and add zero, exactly like the row loop).
-                    for probe in probes:
-                        probe.lookup(None)
+                    # stamp charges the whole batch (repeats hit the memo
+                    # and add zero, exactly like the row loop).
+                    lookup(None)
                     return
                 base[hole] = code
-        if len(probes) == 1 and len(key_slots) == 1 and base is None:
-            probe = probes[0]
+        if len(key_slots) == 1 and base is None:
             column = (
                 code_columns[0] if code_columns is not None else cols[key_slots[0]]
             )
             coded = code_columns is not None
             if not probe.charging and probe.index is not None:
                 # Hottest shape of the fixpoint inner loop -- single-key
-                # probes into the per-round delta: raw dict gets only.
+                # probes into the per-round delta: index gets only.
                 index_get = probe.index.get
                 if coded:
                     for i, code in enumerate(column):
@@ -1274,7 +1192,6 @@ class JoinPlan:
                             extend_parents(_repeat(i, len(rows)))
                             extend_rows(rows)
                 return
-            lookup = probe.lookup
             if coded:
                 for i, code in enumerate(column):
                     rows = lookup((code,))
@@ -1299,21 +1216,12 @@ class JoinPlan:
             return
         slot_targets = info.probe_slots
         template0 = base if base is not None else list(info.probe_template)
-        single = probes[0].lookup if len(probes) == 1 else None
         if code_columns is not None:
             for i, ckey in enumerate(zip(*code_columns)):
                 template = template0[:]
                 for hole, key_index in slot_targets:
                     template[hole] = ckey[key_index]
-                int_key = tuple(template)
-                if single is not None:
-                    rows = single(int_key)
-                else:
-                    rows = None
-                    for probe in probes:
-                        found = probe.lookup(int_key)
-                        if found:
-                            rows = found if rows is None else [*rows, *found]
+                rows = lookup(tuple(template))
                 if rows:
                     if len(rows) == 1:
                         append_parent(i)
@@ -1333,14 +1241,7 @@ class JoinPlan:
                 template[hole] = code
             else:
                 int_key = tuple(template)
-            if single is not None:
-                rows = single(int_key)
-            else:
-                rows = None
-                for probe in probes:
-                    found = probe.lookup(int_key)
-                    if found:
-                        rows = found if rows is None else [*rows, *found]
+            rows = lookup(int_key)
             if rows:
                 if len(rows) == 1:
                     append_parent(i)
@@ -1407,7 +1308,10 @@ class JoinPlan:
 
         Filters run in placement order, matching the per-row executor's
         short-circuit sequence observably: builtins charge nothing, and the
-        per-negation probe totals are order-independent sums.
+        per-negation probe totals are order-independent sums.  Each
+        anti-join reads the main database through one probe keyed on the
+        negation's bound variables (placement puts a negation with none
+        before step 0), which applies its intra-row equalities.
         """
         for check in step.checks:
             if not n:
@@ -1425,96 +1329,24 @@ class JoinPlan:
             if not n:
                 return 0
             neg = neg_info.check
-            key_slots = neg_info.key_slots
-            if (
-                key_slots
-                and not neg.intra_eq
-                and _storage_runtime._mode == MODE_KERNEL
-            ):
-                kernel = build_probes(
-                    (database,), neg.predicate, neg_info.probe_positions, database.counters
-                )
-                if kernel is not None:
-                    if not kernel:
-                        continue  # no relation: uncharged empty scans, all pass
-                    mask = self._kernel_antimask(kernel[0], neg_info, cols)
-                    if mask is None:
-                        continue  # unknown constant: empty buckets, all pass
-                    kept = sum(mask)
-                    if kept != n:
-                        for slot, column in cols.items():
-                            cols[slot] = [v for v, ok in zip(column, mask) if ok]
-                        n = kept
-                    continue
-            scan = BatchScan(neg.predicate, neg.intra_eq, (database,))
-            cache = scan.cache
-            get = cache.get
-            miss = scan.miss
-            replay = scan.replay
-            const_dict = neg_info.const_dict
-            key_slots = neg_info.key_slots
-            mask = []
-            keep = mask.append
-            if len(key_slots) == 1:
-                position = neg_info.key_positions[0]
-                for value in cols[key_slots[0]]:
-                    hit = get(value)
-                    if hit is None:
-                        if const_dict:
-                            bindings = dict(const_dict)
-                            bindings[position] = value
-                        else:
-                            bindings = {position: value}
-                        keep(not miss(value, bindings))
-                    else:
-                        replay(hit)
-                        keep(not hit[0])
-            elif key_slots:
-                positions = neg_info.key_positions
-                key_columns = [cols[slot] for slot in key_slots]
-                for key in zip(*key_columns):
-                    hit = get(key)
-                    if hit is None:
-                        bindings = dict(const_dict) if const_dict else {}
-                        for position, value in zip(positions, key):
-                            bindings[position] = value
-                        keep(not miss(key, bindings))
-                    else:
-                        replay(hit)
-                        keep(not hit[0])
-            else:
-                bindings = dict(const_dict) if const_dict else None
-                rows = miss((), bindings)
-                if rows:
-                    # Every parent row probes the same non-empty bucket and
-                    # fails; replay the n-1 repeat charges and empty the batch.
-                    hit = cache[()]
-                    for _ in range(n - 1):
-                        replay(hit)
-                    for slot in cols:
-                        cols[slot] = []
-                    return 0
-                continue  # empty bucket: all rows pass, repeats charge nothing
+            probe = build_probe(
+                database,
+                neg.predicate,
+                neg_info.probe_positions,
+                database.counters,
+                neg.intra_eq,
+            )
+            if probe is None:
+                continue  # no relation: uncharged empty scans, all pass
+            mask = self._kernel_antimask(probe, neg_info, cols)
+            if mask is None:
+                continue  # unknown constant: empty buckets, all pass
             kept = sum(mask)
-            if kept == n:
-                continue
-            for slot, column in cols.items():
-                cols[slot] = [v for v, ok in zip(column, mask) if ok]
-            n = kept
+            if kept != n:
+                for slot, column in cols.items():
+                    cols[slot] = [v for v, ok in zip(column, mask) if ok]
+                n = kept
         return n
-
-    def _batch_sources(
-        self,
-        step: ScanStep,
-        database: Database,
-        derived: Optional[Database],
-    ) -> Tuple[Database, ...]:
-        source = step.source
-        if source == SOURCE_MAIN:
-            return (database,)
-        if source == SOURCE_DERIVED:
-            return (derived,) if derived is not None else ()
-        return (database,) if derived is None else (database, derived)
 
     # -- reference executor (interpreted mode) -----------------------------
 
@@ -1550,14 +1382,8 @@ class JoinPlan:
                 return
             step = steps[index]
             bound_literal = apply_to_literal(step.literal, substitution)
-            if step.source == SOURCE_MAIN:
-                rows = database.match(bound_literal)
-            elif step.source == SOURCE_DERIVED:
-                rows = derived.match(bound_literal) if derived is not None else []
-            else:
-                rows = list(database.match(bound_literal))
-                if derived is not None:
-                    rows.extend(derived.match(bound_literal))
+            source = database if step.source == SOURCE_MAIN else derived
+            rows = source.match(bound_literal) if source is not None else []
             for row in rows:
                 extended = match_literal(step.literal, row, substitution)
                 if extended is None:
@@ -1849,8 +1675,6 @@ def compile_plan(
     body: Sequence[Literal],
     head: Optional[Literal] = None,
     bound_vars: FrozenSet[Variable] = frozenset(),
-    derived_only_for: FrozenSet[str] = frozenset(),
-    has_derived: bool = False,
     delta_predicates: FrozenSet[str] = frozenset(),
     delta_occurrence: Optional[int] = None,
     delta_first: bool = False,
@@ -2023,10 +1847,6 @@ def compile_plan(
     for position, (index, literal) in enumerate(ordered):
         if delta_occurrence is not None and occurrence_of.get(index) == delta_occurrence:
             source = SOURCE_DERIVED
-        elif literal.predicate in derived_only_for:
-            source = SOURCE_DERIVED
-        elif has_derived:
-            source = SOURCE_BOTH
         else:
             source = SOURCE_MAIN
         step = ScanStep(literal, source, slot_of, bound_so_far)
@@ -2099,46 +1919,25 @@ def _body_statistics(body: Sequence[Literal], database, overrides=None):
 def body_plan(
     body: Sequence[Literal],
     bound_vars: FrozenSet[Variable] = frozenset(),
-    derived_only_for: FrozenSet[str] = frozenset(),
-    has_derived: bool = False,
     database=None,
 ) -> JoinPlan:
     """Cached plan for a bare body (the :func:`satisfy_body` entry point)."""
     body = tuple(body)
     statistics, suffix = _body_statistics(body, database)
-    key = ("body", body, bound_vars, derived_only_for, has_derived) + suffix
+    key = ("body", body, bound_vars) + suffix
     return _cached_plan(
         key,
-        lambda: compile_plan(
-            body,
-            bound_vars=bound_vars,
-            derived_only_for=derived_only_for,
-            has_derived=has_derived,
-            statistics=statistics,
-        ),
+        lambda: compile_plan(body, bound_vars=bound_vars, statistics=statistics),
     )
 
 
-def rule_plan(
-    rule: Rule,
-    bound_vars: FrozenSet[Variable] = frozenset(),
-    derived_only_for: FrozenSet[str] = frozenset(),
-    has_derived: bool = False,
-    database=None,
-) -> JoinPlan:
+def rule_plan(rule: Rule, database=None) -> JoinPlan:
     """Cached plan for a full rule: its body compiled against its head."""
     statistics, suffix = _body_statistics(rule.body, database)
-    key = ("rule", rule, bound_vars, derived_only_for, has_derived) + suffix
+    key = ("rule", rule) + suffix
     return _cached_plan(
         key,
-        lambda: compile_plan(
-            rule.body,
-            head=rule.head,
-            bound_vars=bound_vars,
-            derived_only_for=derived_only_for,
-            has_derived=has_derived,
-            statistics=statistics,
-        ),
+        lambda: compile_plan(rule.body, head=rule.head, statistics=statistics),
     )
 
 

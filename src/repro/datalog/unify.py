@@ -15,7 +15,7 @@ forever through a deferral queue.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence
 
 from .database import Database, Row
 from .literals import Literal
@@ -87,8 +87,6 @@ def satisfy_body(
     body: Sequence[Literal],
     database: Database,
     initial: Optional[Substitution] = None,
-    derived: Optional[Database] = None,
-    derived_only_for: Optional[Iterable[str]] = None,
 ) -> Iterator[Substitution]:
     """Enumerate substitutions making every body literal true.
 
@@ -99,25 +97,15 @@ def satisfy_body(
         postponed until their arguments are bound and then applied as
         filters.
     database:
-        Primary source of facts (typically the EDB plus already-derived
-        tuples, depending on the engine).
+        The source of facts every body literal is matched against.
     initial:
         Bindings already fixed (e.g. from the rule head during top-down
-        evaluation, or from a delta tuple during seminaive evaluation).
-    derived:
-        Optional second database consulted *in addition to* ``database``.
-    derived_only_for:
-        When given, predicates in this collection are looked up only in
-        ``derived`` (used by seminaive evaluation to force one occurrence to
-        range over the delta relation).
+        evaluation).
     """
     plan = body_plan(
-        tuple(body),
-        bound_vars=frozenset(initial) if initial else frozenset(),
-        derived_only_for=frozenset(derived_only_for) if derived_only_for else frozenset(),
-        has_derived=derived is not None,
+        tuple(body), bound_vars=frozenset(initial) if initial else frozenset()
     )
-    return plan.substitutions(database, derived=derived, initial=initial)
+    return plan.substitutions(database, initial=initial)
 
 
 def rename_apart(rule: Rule, suffix: str) -> Rule:

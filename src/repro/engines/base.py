@@ -466,14 +466,14 @@ class Engine:
         counters = counters if counters is not None else Counters()
         from ..datalog.diagnostics import ensure_valid
         from ..datalog.transform import get_program_opt, optimize
-        from ..session.facts import combined_database
+        from ..session.facts import combined_database, combined_snapshot
 
-        ensure_valid(program)
+        # Validate against the memoized snapshot under the per-call overlay:
+        # the abstract-interpretation layer (memoized per program and
+        # database object, its DL7xx findings recorded on the planner event
+        # ring for ``explain()``) then runs once per database version.
+        ensure_valid(program, combined_snapshot(program, database))
         combined = combined_database(program, database, counters)
-        # With the combined EDB in hand the abstract-interpretation layer
-        # can run (memoized per program instance and database version); its
-        # DL7xx findings land on the planner event ring for ``explain()``.
-        ensure_valid(program, combined)
         if get_program_opt() == "on":
             rewritten = optimize(
                 program, queries=(query.predicate,), database=combined

@@ -84,9 +84,7 @@ from ..datalog import plans as _plans
 from ..datalog.plans import aggregate_plan, delta_plan, delta_plans, rule_plan
 from ..datalog.rules import Program, Rule
 from ..instrumentation import Counters
-from ..storage import runtime as _storage_runtime
 from ..storage.interner import global_interner
-from ..storage.runtime import MODE_KERNEL
 
 
 #: Seed deltas smaller than this evaluate in process even when parallelism
@@ -415,11 +413,11 @@ def _offload_fixpoint(
 ) -> bool:
     """Run a component's whole delta-round loop on a fork worker pool.
 
-    Eligible when parallelism is armed under the columnar executor and the
-    kernel storage, fork is available, the loop consists of exactly one
-    plan with a :class:`~repro.datalog.plans.ShardRecipe` whose probed
-    relation lies outside the component, and the seed delta holds only that
-    plan's delta predicate, with at least :data:`_SHARD_MIN_ROWS` rows.
+    Eligible when parallelism is armed under the columnar executor, fork is
+    available, the loop consists of exactly one plan with a
+    :class:`~repro.datalog.plans.ShardRecipe` whose probed relation lies
+    outside the component, and the seed delta holds only that plan's delta
+    predicate, with at least :data:`_SHARD_MIN_ROWS` rows.
     Rows then never mix across distinct codes of the recipe's invariant
     column, so the seed delta partitions by that code: each worker of a
     freshly forked pool iterates its partition to a local fixpoint (see
@@ -441,7 +439,6 @@ def _offload_fixpoint(
     if (
         workers <= 1
         or _plans._mode == _plans._MODE_INTERPRETED
-        or _storage_runtime._mode != MODE_KERNEL
         or not _parallel.fork_available()
     ):
         return False

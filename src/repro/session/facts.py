@@ -41,19 +41,13 @@ def program_fingerprint(program: Program) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def combined_database(
-    program: Program,
-    database: Optional[Database],
-    counters: Optional[Counters] = None,
-) -> Database:
-    """A fresh overlay holding ``database``'s relations plus ``program``'s facts.
+def combined_snapshot(program: Program, database: Optional[Database]) -> Database:
+    """The combined (``database`` + ``program`` facts) snapshot, memoized.
 
-    The returned database charges retrievals to ``counters`` and may be
-    mutated freely (derived relations, magic seeds, ...): writes clone only
-    the touched relations, never the memoized snapshot or the caller's
-    database.  The underlying combined snapshot is memoized per ``(program,
-    database.version)`` -- a database mutation invalidates it on the next
-    call through the version bump.
+    One snapshot per ``(program, database.version)`` -- a database mutation
+    invalidates it on the next call through the version bump.  It is shared
+    by every caller and must never be written; :func:`combined_database`
+    hands out writable overlays of it.
     """
     if database is None:
         snapshot = _PROGRAM_ONLY_CACHE.get(program)
@@ -64,7 +58,7 @@ def combined_database(
                 _PROGRAM_ONLY_CACHE.popitem(last=False)
         else:
             _PROGRAM_ONLY_CACHE.move_to_end(program)
-        return Database.overlay(snapshot, counters=counters)
+        return snapshot
 
     memo = database._program_facts_memo
     entry = memo.get(program)
@@ -74,9 +68,23 @@ def combined_database(
         memo[program] = (database.version, snapshot)
         while len(memo) > _CACHE_LIMIT:
             memo.pop(next(iter(memo)))
-    else:
-        snapshot = entry[1]
-    return Database.overlay(snapshot, counters=counters)
+        return snapshot
+    return entry[1]
+
+
+def combined_database(
+    program: Program,
+    database: Optional[Database],
+    counters: Optional[Counters] = None,
+) -> Database:
+    """A fresh overlay holding ``database``'s relations plus ``program``'s facts.
+
+    The returned database charges retrievals to ``counters`` and may be
+    mutated freely (derived relations, magic seeds, ...): writes clone only
+    the touched relations, never the memoized :func:`combined_snapshot`
+    under it or the caller's database.
+    """
+    return Database.overlay(combined_snapshot(program, database), counters=counters)
 
 
 def clear_program_facts_cache() -> None:

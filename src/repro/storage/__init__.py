@@ -14,9 +14,10 @@ Layer map::
     interner.py   constants <-> dense int codes (process-wide bijection)
     table.py      n-ary interned row tables: subset + adjacency indexes, COW
     pairs.py      binary relations as shared successor indexes + builders
-    columns.py    batch scans for the columnar join executor: column
-                  extraction, charging index probes, distinct-key scan cache
-    runtime.py    the kernel/reference mode switch for differential testing
+    columns.py    batch probes for the columnar join executor: column
+                  extraction, charging and silent index probes
+    runtime.py    the kernel/reference mode switch of Database.scan and
+                  Database.image, for differential testing
 
 The work counters of :mod:`repro.instrumentation` measure *retrievals*, not
 representation: every fast path in this kernel charges exactly the rows the

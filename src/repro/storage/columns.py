@@ -10,34 +10,38 @@ with whole-batch operations over parallel value columns:
   packed ``array('q')`` code columns of :meth:`IntTable.column_arrays
   <repro.storage.table.IntTable.column_arrays>` -- one gather through the
   interner's value table per column instead of one tuple indexing per row;
-* :class:`KernelProbe` (built by :func:`build_probes`) is one keyed
-  ``Database.scan`` of the ``kernel`` storage mode reduced to an index
-  lookup plus the bucket-level charging memo, and :class:`SilentProbe` the
-  same lookup without charging, for runtime-internal scratch databases;
-* :class:`BatchScan` probes a relation once per *distinct* join key of a
-  binding batch through :meth:`Database.scan
-  <repro.datalog.database.Database.scan>` and charges repeat keys by
-  bucket size -- the generic path for the scans the probes do not cover
-  (in both the ``kernel`` and ``reference`` storage modes).
+* :func:`build_probe` hands each keyed scan step and each negation one probe
+  of the database it reads: a :class:`KernelProbe` -- one keyed
+  ``Database.scan`` reduced to an index lookup plus the bucket-level
+  charging memo -- or, for a runtime-internal scratch database, a
+  :class:`SilentProbe`, the same lookup without charging.  Both apply the
+  step's intra-row equalities to a bucket before anything sees it, so a
+  probe returns exactly the rows the ``Database.scan`` it stands for
+  returns.
 
-Every charge is applied directly: a batch never runs over a plan whose
-later scan steps read rows the consumer inserts during the same firing
-(see :meth:`repro.datalog.plans.JoinPlan.head_batch`), so a batch is never
+The probes run in both storage modes: the ``reference`` mode switches only
+``Database.scan`` and ``Database.image`` to their memo-free loops, which the
+interpreted executor drives.  Every charge is applied directly: a batch
+never runs over a plan whose later scan steps read rows the consumer
+inserts during the same firing (see
+:meth:`repro.datalog.plans.JoinPlan.head_batch`), so a batch is never
 abandoned and nothing needs buffering.
 
-Counter parity is the load-bearing contract of this module: every scan
+Counter parity is the load-bearing contract of this module: every probe
 charges ``fact_retrievals`` / ``distinct_facts`` exactly as the equivalent
 sequence of :meth:`Database.scan` calls would, which the differential suites
-(``tests/engines/test_plan_differential.py`` and the property suite under
-``tests/property/``) assert for answers *and* counters on every workload.
+(``tests/engines/test_plan_differential.py``, the property suite under
+``tests/property/`` and the interpreted-plus-reference cell of
+``tests/storage/test_storage_differential.py``) assert for answers *and*
+counters on every workload.
 """
 
 from __future__ import annotations
 
 from itertools import repeat as _repeat
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-Row = Tuple[object, ...]
+from .interner import global_interner
 
 
 def extern_columns(table, positions: Tuple[int, ...]) -> List[list]:
@@ -52,6 +56,49 @@ def extern_columns(table, positions: Tuple[int, ...]) -> List[list]:
     return [[values[code] for code in arrays[position]] for position in positions]
 
 
+class _EqualityFilter:
+    """A subset index read through a step's intra-row equalities.
+
+    ``get`` returns the bucket's rows whose components agree at every
+    ``(position, other)`` pair -- the filter ``Database.scan`` applies for a
+    repeated variable -- or ``None`` when none do.  Probes hold it in place
+    of the raw index, so every lookup path, the executor's raw ``index.get``
+    loop included, sees filtered buckets.
+    """
+
+    __slots__ = ("index", "intra_eq")
+
+    def __init__(self, index, intra_eq: Tuple[Tuple[int, int], ...]):
+        self.index = index
+        self.intra_eq = intra_eq
+
+    def get(self, key):
+        bucket = self.index.get(key)
+        if bucket is None:
+            return None
+        intra_eq = self.intra_eq
+        rows = [
+            row
+            for row in bucket
+            if all(row[position] == row[other] for position, other in intra_eq)
+        ]
+        return rows or None
+
+
+def _probe_access(table, positions: Tuple[int, ...], intra_eq):
+    """``(rows_map, index)`` for a probe: the row map for a fully-bound key
+    (``Database.scan`` never builds a whole-row subset index either, and no
+    repeated variable is left unbound to filter on), else the subset index,
+    filtered when the step has intra-row equalities."""
+    if table.interner is not global_interner():
+        # The executor threads interned code columns from step to step.
+        raise ValueError("batch probes read only tables of the process-wide interner")
+    if len(positions) == table.arity:
+        return table._rows, None
+    index = table._index_for(frozenset(positions))
+    return None, (_EqualityFilter(index, intra_eq) if intra_eq else index)
+
+
 class SilentProbe:
     """Raw index probe for a runtime-internal scratch database.
 
@@ -60,22 +107,19 @@ class SilentProbe:
     with the round -- :meth:`Database.scan` against them does bookkeeping
     nobody can observe.  When a batch source's counters object is not the
     observable one, this probe replaces :class:`KernelProbe` and skips the
-    bookkeeping entirely; results are bit-identical to the charged probe's.
+    bookkeeping entirely; results are bit-identical to the charged probe's,
+    intra-row equalities included (both read the index through
+    :class:`_EqualityFilter`).
     """
 
     charging = False
 
     __slots__ = ("code_map", "rows_map", "index")
 
-    def __init__(self, relation, positions: Tuple[int, ...]):
+    def __init__(self, relation, positions: Tuple[int, ...], intra_eq=()):
         table = relation.table
         self.code_map = table._interner._code_of
-        if len(positions) == table.arity:
-            self.rows_map = table._rows
-            self.index = None
-        else:
-            self.rows_map = None
-            self.index = table._index_for(frozenset(positions))
+        self.rows_map, self.index = _probe_access(table, positions, intra_eq)
 
     def lookup(self, int_key):
         if int_key is None:
@@ -94,17 +138,23 @@ class KernelProbe:
     call tower peeled away: no bindings dictionary, no relation lookup, no
     ``bucket`` dispatch -- just a subset-index (or row-map, for fully-bound
     probes) lookup plus the bucket-level charging memo, inlined against
-    hoisted locals.  Used for keyed scan steps and negation probes with no
-    intra-row equality under the kernel storage mode, where every probe
-    corresponds to exactly one ``Database.scan`` call of the row-at-a-time
-    executor; the memo tokens, ``_touched`` entries and counter bumps land
-    bit-identically.
+    hoisted locals.  Used for every keyed scan step and negation probe of
+    the batch executor, where every probe corresponds to exactly one
+    ``Database.scan`` call of the row-at-a-time executor; the memo tokens,
+    ``_touched`` entries and counter bumps land bit-identically.
+
+    With intra-row equalities the index is read through
+    :class:`_EqualityFilter`, so the probe charges the filtered rows, as
+    ``Database.scan`` does, and memoizes them under a token of their own:
+    ``(positions, intra_eq)`` in place of the unfiltered bucket's
+    ``positions``.  A memo hit is still exact, because every row of the
+    filtered bucket was charged when the token was stamped.
 
     Callers intern probe keys through :attr:`code_map` themselves (so a
-    batch interns each join value once, not once per source) and pass the
-    interned key tuple -- or ``None`` when any component value is unknown
-    to the interner, which matches the ``(positions, None)`` empty-bucket
-    token of :meth:`IntTable.bucket`.
+    batch interns each join value once) and pass the interned key tuple --
+    or ``None`` when any component value is unknown to the interner, which
+    matches the ``(positions, None)`` empty-bucket token of
+    :meth:`IntTable.bucket`.
     """
 
     charging = True
@@ -122,18 +172,10 @@ class KernelProbe:
         "local",
     )
 
-    def __init__(self, db, relation, positions: Tuple[int, ...]):
+    def __init__(self, db, relation, positions: Tuple[int, ...], intra_eq=()):
         table = relation.table
         self.code_map = table._interner._code_of
-        pos_set = frozenset(positions)
-        if len(positions) == table.arity:
-            # Fully-bound membership probe: the row map is the index
-            # (Database.scan never builds a whole-row subset index either).
-            self.rows_map = table._rows
-            self.index = None
-        else:
-            self.rows_map = None
-            self.index = table._index_for(pos_set)
+        self.rows_map, self.index = _probe_access(table, positions, intra_eq)
         self.counters = db.counters
         self.touched = db._touched
         charged = db._charged.get(relation.name)
@@ -142,7 +184,8 @@ class KernelProbe:
         self.charged = charged
         self.mutations = table.mutations
         self.predicate = relation.name
-        self.positions = pos_set
+        pos_set = frozenset(positions)
+        self.positions = (pos_set, intra_eq) if intra_eq else pos_set
         # Per-batch key memo: the table cannot mutate while this probe is
         # alive (one step of one batch), so a key's bucket and stamp are
         # fixed -- after the first resolution a repeat key is one dict hit
@@ -193,101 +236,40 @@ class KernelProbe:
         return rows
 
 
-def build_probes(
-    sources, predicate: str, positions: Tuple[int, ...], visible
-) -> Optional[list]:
-    """One probe per source holding the relation.
+def build_probe(
+    db,
+    predicate: str,
+    positions: Tuple[int, ...],
+    visible,
+    intra_eq: Tuple[Tuple[int, int], ...] = (),
+) -> Optional[object]:
+    """The probe a batch step reads ``predicate`` of ``db`` through.
 
     ``visible`` is the counters object whose charges the caller can observe
-    (the engine-facing database's): a source charging it gets a
+    (the engine-facing database's): a database charging it gets a
     :class:`KernelProbe`, cached on the database while the relation is
-    unchanged; a source charging a different object is a runtime-internal
-    scratch store and gets the bookkeeping-free :class:`SilentProbe`.  An
-    absent relation contributes no probe (its scans return nothing and
-    charge nothing).  Returns ``None`` when the sources' tables do not share
-    one interner -- then a caller-interned key would be meaningless and the
-    generic scan path must be used (never the case for Database-built
-    tables, which all use the global interner).
+    unchanged; one charging a different object is a runtime-internal
+    scratch store and gets the bookkeeping-free :class:`SilentProbe`.
+    ``intra_eq`` are the step's ``(position, other)`` equalities.  Returns
+    ``None`` when ``db`` has no such relation (its scans return nothing and
+    charge nothing); a table outside the process-wide interner, which
+    ``Database``-built tables never are, raises :class:`ValueError`.
     """
-    probes: list = []
-    interner = None
-    for db in sources:
-        relation = db.relations.get(predicate)
-        if relation is None:
-            continue
-        table = relation.table
-        if interner is None:
-            interner = table._interner
-        elif table._interner is not interner:
-            return None
-        if db.counters is visible:
-            # Reuse the probe while the relation is untouched: its charging
-            # state (counters, touched-set, memo) is all keyed off objects
-            # stable between mutations, and a warm key memo charges repeats
-            # exactly like the bucket memo would (see
-            # :meth:`KernelProbe.lookup`).
-            cache = db._probe_cache
-            cache_key = (predicate, positions)
-            hit = cache.get(cache_key)
-            if hit is not None and hit[0] is relation and hit[1] == table.mutations:
-                probes.append(hit[2])
-            else:
-                probe = KernelProbe(db, relation, positions)
-                cache[cache_key] = (relation, table.mutations, probe)
-                probes.append(probe)
-        else:
-            probes.append(SilentProbe(relation, positions))
-    return probes
-
-
-class BatchScan:
-    """Distinct-key probe cache for one scan step over one binding batch.
-
-    The generic scan path of the batch executor: steps with no join key or
-    with an intra-row equality, and every keyed step under the
-    ``reference`` storage mode.  The row-at-a-time executor re-scans the
-    relation for every binding row; once a bucket has been fully charged, a
-    repeat scan only bumps ``fact_retrievals`` by the number of rows it
-    returns (the bucket-memo shortcut in kernel mode, the re-walk of
-    already-touched rows in reference mode -- the two are
-    counter-identical).  This cache therefore scans each distinct key once
-    through :meth:`Database.scan` and replays repeats as per-source
-    retrieval bumps.
-    """
-
-    __slots__ = ("predicate", "intra_eq", "sources", "cache")
-
-    def __init__(self, predicate, intra_eq, sources) -> None:
-        self.predicate = predicate
-        self.intra_eq = intra_eq
-        #: The databases this step reads, in scan order (main before delta).
-        self.sources = sources
-        #: key -> (rows, ((db, per-source row count), ...)); the hot loop in
-        #: plans.py reads this dict directly and calls miss/replay itself so
-        #: cache hits never build a bindings dictionary.
-        self.cache: Dict[object, Tuple[List[Row], Tuple[Tuple[object, int], ...]]] = {}
-
-    def miss(self, key, bindings: Optional[Dict[int, object]]) -> List[Row]:
-        """Scan all sources for ``bindings``, caching the result under ``key``."""
-        predicate = self.predicate
-        intra_eq = self.intra_eq
-        rows: List[Row] = []
-        lens = []
-        for db in self.sources:
-            found = db.scan(predicate, bindings, intra_eq)
-            lens.append((db, len(found)))
-            if found:
-                rows = found if not rows else rows + found
-        self.cache[key] = (rows, tuple(lens))
-        return rows
-
-    def replay(self, hit: Tuple[List[Row], Tuple[Tuple[object, int], ...]]) -> None:
-        """Charge a repeat probe of an already-scanned key.
-
-        A repeat :meth:`Database.scan` of a fully charged bucket costs
-        ``fact_retrievals += len(result)`` per source and nothing else, in
-        both storage modes; replaying that charge is all a cache hit owes.
-        """
-        for db, count in hit[1]:
-            if count:
-                db.counters.fact_retrievals += count
+    relation = db.relations.get(predicate)
+    if relation is None:
+        return None
+    if db.counters is not visible:
+        return SilentProbe(relation, positions, intra_eq)
+    # Reuse the probe while the relation is untouched: its charging state
+    # (counters, touched-set, memo) is all keyed off objects stable between
+    # mutations, and a warm key memo charges repeats exactly like the bucket
+    # memo would (see :meth:`KernelProbe.lookup`).
+    mutations = relation.table.mutations
+    cache = db._probe_cache
+    cache_key = (predicate, positions, intra_eq)
+    hit = cache.get(cache_key)
+    if hit is not None and hit[0] is relation and hit[1] == mutations:
+        return hit[2]
+    probe = KernelProbe(db, relation, positions, intra_eq)
+    cache[cache_key] = (relation, mutations, probe)
+    return probe

@@ -1,14 +1,21 @@
 """The storage-mode switch: kernel fast paths vs the object-tuple reference.
 
-Mirrors :func:`repro.datalog.plans.set_execution_mode`.  In ``"kernel"`` mode
-(the default) node-set images and repeated bucket retrievals run on the
-interned adjacency indexes and the bucket-level charging memo of the storage
-kernel; in ``"reference"`` mode they fall back to the historical per-row
-object-tuple loops.  Both modes must produce identical answers *and*
+Mirrors :func:`repro.datalog.plans.set_execution_mode`, and switches two
+methods of :class:`~repro.datalog.database.Database`.  In ``"kernel"`` mode
+(the default) :meth:`Database.scan` charges repeated bucket retrievals
+through the bucket-level charging memo and :meth:`Database.image` runs on
+the interned adjacency indexes; in ``"reference"`` mode ``scan`` charges
+every retrieval row by row and ``image`` falls back to the historical
+per-row object-tuple loop.  Both modes must produce identical answers *and*
 identical work counters -- the differential suite in
 ``tests/storage/test_storage_differential.py`` runs every engine on every
-workload family under both modes and asserts exactly that, which is how the
-"counters measure retrievals, not representation" invariant is enforced.
+workload family under both modes, and under the interpreted executor in
+``reference`` mode, where every retrieval is a memo-free scan, and asserts
+exactly that, which is how the "counters measure retrievals, not
+representation" invariant is enforced.  The columnar executor's batch
+probes (:mod:`repro.storage.columns`) run the same way in both modes;
+``tools/check_invariants.py`` keeps every reader of the switch inside the
+storage layer.
 """
 
 from __future__ import annotations

@@ -20,8 +20,9 @@ from repro.datalog.diagnostics import (
     ensure_valid,
     lint_source,
 )
-from repro.datalog.parser import parse_program
+from repro.datalog.parser import parse_literal, parse_program
 from repro.datalog.plans import drain_planner_events
+from repro.engines import get_engine
 
 
 def codes(diagnostics):
@@ -277,3 +278,26 @@ class TestSurfacing:
         assert "DL704" in [e.code for e in events]
         ensure_valid(program, database)  # memoized analysis: no re-record
         assert drain_planner_events() == []
+
+    def test_engine_answer_builds_the_analysis_once_per_version(self, monkeypatch):
+        """Each ``Engine.answer`` runs over a fresh overlay; validating that
+        overlay missed the analysis memo on every call."""
+        builds = []
+        original = AbstractAnalysis._build.__func__
+
+        def counting_build(cls, *args):
+            builds.append(args)
+            return original(cls, *args)
+
+        monkeypatch.setattr(AbstractAnalysis, "_build", classmethod(counting_build))
+        program = parse_program("q(1). q(2).\np(X) :- q(X), e(X, Y).")
+        query = parse_literal("p(X)")
+        database = Database()
+        database.add_facts("e", [(1, 5)])
+        engine = get_engine("seminaive")
+        assert engine.answer(program, query, database).answers == {(1,)}
+        assert engine.answer(program, query, database).answers == {(1,)}
+        assert len(builds) == 1
+        database.add_fact("e", (2, 6))
+        assert engine.answer(program, query, database).answers == {(1,), (2,)}
+        assert len(builds) == 2

@@ -198,20 +198,6 @@ class TestRepeatedVariablesAndSources:
         plan = body_plan((lit("up", "X", "Y"), lit("flat", "X", "Y")))
         assert list(plan.substitutions(db())) == []
 
-    def test_both_sources_enumerated(self):
-        base = Database.from_dict({"p": [("a",)]})
-        extra = Database.from_dict({"p": [("b",)]})
-        plan = body_plan((lit("p", "X"),), has_derived=True)
-        assert {s[X] for s in plan.substitutions(base, derived=extra)} == {"a", "b"}
-
-    def test_derived_only_for_reads_derived_exclusively(self):
-        base = Database.from_dict({"p": [("a",)]})
-        extra = Database.from_dict({"p": [("b",)]})
-        plan = body_plan(
-            (lit("p", "X"),), derived_only_for=frozenset({"p"}), has_derived=True
-        )
-        assert {s[X] for s in plan.substitutions(base, derived=extra)} == {"b"}
-
     def test_scan_charges_exactly_the_matching_rows(self):
         counters = Counters()
         database = Database.from_dict(

@@ -99,15 +99,6 @@ class TestSatisfyBody:
     def test_no_match_yields_nothing(self):
         assert list(satisfy_body([lit("up", "z", "Y")], self.db())) == []
 
-    def test_derived_only_for_restricts_source(self):
-        base = Database.from_dict({"p": [("a",)]})
-        delta = Database.from_dict({"p": [("b",)]})
-        body = [lit("p", "X")]
-        both = list(satisfy_body(body, base, derived=delta))
-        assert {s[X] for s in both} == {"a", "b"}
-        delta_only = list(satisfy_body(body, base, derived=delta, derived_only_for={"p"}))
-        assert {s[X] for s in delta_only} == {"b"}
-
 
 class TestRenameApart:
     def test_variables_renamed_consistently(self):

@@ -11,7 +11,7 @@ import pytest
 from repro.datalog.database import Database
 from repro.instrumentation import Counters
 from repro.storage import Interner, IntTable
-from repro.storage.columns import KernelProbe, SilentProbe, build_probes
+from repro.storage.columns import KernelProbe, SilentProbe, build_probe
 
 
 def fresh_table(rows=(), arity=2):
@@ -149,21 +149,21 @@ class TestProbeCharging:
 class TestProbeCache:
     def test_probe_reused_while_table_unchanged(self):
         db = Database.from_dict({"e": [("a", "b")]}, counters=Counters())
-        first = build_probes([db], "e", (0,), db.counters)
-        second = build_probes([db], "e", (0,), db.counters)
-        assert first[0] is second[0]
+        first = build_probe(db, "e", (0,), db.counters)
+        second = build_probe(db, "e", (0,), db.counters)
+        assert first is second
 
     def test_mutation_invalidates_cached_probe(self):
         db = Database.from_dict({"e": [("a", "b")]}, counters=Counters())
-        (cached,) = build_probes([db], "e", (0,), db.counters)
+        cached = build_probe(db, "e", (0,), db.counters)
         db.add_fact("e", ("c", "d"))
-        (rebuilt,) = build_probes([db], "e", (0,), db.counters)
+        rebuilt = build_probe(db, "e", (0,), db.counters)
         assert rebuilt is not cached
 
     def test_instrumentation_reset_drops_cached_probes(self):
         db = Database.from_dict({"e": [("a", "b")]}, counters=Counters())
-        (cached,) = build_probes([db], "e", (0,), db.counters)
+        cached = build_probe(db, "e", (0,), db.counters)
         db.reset_instrumentation(Counters())
-        (rebuilt,) = build_probes([db], "e", (0,), db.counters)
+        rebuilt = build_probe(db, "e", (0,), db.counters)
         assert rebuilt is not cached
         assert rebuilt.counters is db.counters

@@ -1,12 +1,17 @@
 """Differential tests: interned-storage kernel vs the object-tuple reference.
 
-Every engine is run on every workload family twice -- once on the storage
-kernel's fast paths (adjacency-bucket images, bucket-level charging memo)
-and once in ``"reference"`` storage mode, where images fall back to the
-historical per-row object-tuple scan loops and every bucket is charged row
-by row -- and must produce identical answers *and* identical work counters.
-This is the executable form of the kernel's core invariant: the counters
-measure *retrievals*, not representation.
+Every engine is run on every workload family three times -- on the storage
+kernel's fast paths (adjacency-bucket images, bucket-level charging memo);
+in ``"reference"`` storage mode, where ``Database.scan`` charges every
+bucket row by row and ``Database.image`` falls back to the historical
+per-row object-tuple scan loop; and in reference storage under the
+``"interpreted"`` executor.  The columnar executor's batch probes charge
+through the memo in both storage modes, so only the last cell, where every
+retrieval goes through ``Database.match``/``scan`` with no memo, checks
+them against a memo-free oracle.  All three must produce identical answers
+*and* identical work counters.  This is the executable form of the
+kernel's core invariant: the counters measure *retrievals*, not
+representation.
 
 The module also carries the regression tests for the satellite fixes that
 landed with the kernel: ``Database.rows`` returning the live internal row
@@ -16,6 +21,7 @@ set, and the audit of the remaining accessors for leaked internals.
 import pytest
 
 from repro.datalog.database import Database, Relation
+from repro.datalog.plans import execution_mode
 from repro.datalog.semantics import answer_query
 from repro.engines import get_engine, run_engine
 from repro.instrumentation import Counters
@@ -64,12 +70,12 @@ ALL_ENGINES = [
 ]
 
 
-def _measure(engine, workload, mode):
+def _measure(engine, workload, mode, execution="columnar"):
     program, database, query = workload
     counters = Counters()
     fresh = database.copy()
     fresh.reset_instrumentation(counters)
-    with storage_mode(mode):
+    with storage_mode(mode), execution_mode(execution):
         result = run_engine(engine, program, query, fresh, counters)
     return result.answers, counters.as_dict()
 
@@ -89,6 +95,11 @@ def test_kernel_and_reference_storage_agree(engine, workload_name):
     reference_answers, reference_counters = _measure(engine, workload, "reference")
     assert kernel_answers == reference_answers
     assert kernel_counters == reference_counters
+    oracle_answers, oracle_counters = _measure(
+        engine, workload, "reference", "interpreted"
+    )
+    assert kernel_answers == oracle_answers
+    assert kernel_counters == oracle_counters
     if workload_name != "sample-cyclic-3x4":
         # On the cyclic Figure-8 sample the counting-family methods are
         # documented to return a partial answer under the default iteration

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Repo invariant checker: storage encapsulation, no threads, no ``id()``.
+"""Repo invariant checker: storage encapsulation, no threads, no ``id()``,
+the storage mode stays in the storage layer.
 
-Three rules, checked over the source tree's ASTs:
+Four rules, checked over the source tree's ASTs:
 
 * **Storage internals stay inside ``repro.storage``.**  The
   :class:`repro.storage.table.IntTable` row map, subset indexes, lag
@@ -28,6 +29,15 @@ Three rules, checked over the source tree's ASTs:
   per call, so a later call can land on an earlier one's address.  Hold
   the object itself, a ``weakref`` to it, or a key that names it (an
   index, a name).
+* **The storage mode stays in the storage layer.**  The ``reference``
+  storage mode switches :meth:`Database.scan
+  <repro.datalog.database.Database.scan>` and ``Database.image`` to their
+  memo-free loops and nothing else, so under ``src/repro`` only the storage
+  package and ``datalog/database.py`` may import ``repro.storage.runtime``
+  (absolute or relative) or import ``storage_mode``, ``set_storage_mode``,
+  ``get_storage_mode``, ``MODE_KERNEL`` or ``MODE_REFERENCE`` from
+  ``repro.storage``.  An executor that forked on the mode would keep a
+  second code path the differential suites must cover twice.
 
 Usage::
 
@@ -42,7 +52,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 #: IntTable storage representation -- see the class's ``__slots__``.
 BANNED_ATTRIBUTES = frozenset(
@@ -58,6 +68,15 @@ BANNED_ATTRIBUTES = frozenset(
 
 #: The package that owns the representation and may touch it freely.
 ALLOWED_PREFIX = ("src", "repro", "storage")
+
+#: The storage-mode switch module and the names ``repro.storage`` re-exports
+#: from it.
+MODE_MODULE = "repro.storage.runtime"
+MODE_NAMES = frozenset(
+    {"storage_mode", "set_storage_mode", "get_storage_mode", "MODE_KERNEL", "MODE_REFERENCE"}
+)
+#: The layer the storage mode belongs to, below ``src/repro``.
+MODE_OWNERS = (("storage",), ("datalog", "database.py"))
 
 
 def _is_self_access(node: ast.Attribute) -> bool:
@@ -100,6 +119,39 @@ def _is_id_call(node: ast.AST) -> bool:
     )
 
 
+def _package(path: Path) -> Optional[List[str]]:
+    """The dotted package of a file under ``src/repro`` (``None`` elsewhere,
+    or when the file belongs to the storage layer)."""
+    parts = path.parts
+    for start in range(len(parts) - 1):
+        if parts[start : start + 2] == ("src", "repro"):
+            inner = parts[start + 2 :]
+            if any(inner[: len(owner)] == owner for owner in MODE_OWNERS):
+                return None
+            return list(parts[start + 1 : -1])
+    return None
+
+
+def _imports_storage_mode(node: ast.AST, package: List[str]) -> bool:
+    if isinstance(node, ast.Import):
+        return any(
+            alias.name == MODE_MODULE or alias.name.startswith(MODE_MODULE + ".")
+            for alias in node.names
+        )
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    if node.level:
+        base = package[: len(package) - (node.level - 1)]
+        module = ".".join(base + ([node.module] if node.module else []))
+    else:
+        module = node.module or ""
+    if module == MODE_MODULE or module.startswith(MODE_MODULE + "."):
+        return True
+    return module == "repro.storage" and any(
+        alias.name == "runtime" or alias.name in MODE_NAMES for alias in node.names
+    )
+
+
 def check_file(path: Path) -> List[Tuple[int, int, str]]:
     """Rule violations in one file as ``(line, col, message)``."""
     try:
@@ -107,9 +159,20 @@ def check_file(path: Path) -> List[Tuple[int, int, str]]:
     except (OSError, SyntaxError) as exc:
         return [(0, 0, f"cannot parse: {exc}")]
     storage_owner = _exempt(path)
+    package = _package(path)
     violations: List[Tuple[int, int, str]] = []
     for node in ast.walk(tree):
-        if _is_thread(node):
+        if package is not None and _imports_storage_mode(node, package):
+            violations.append(
+                (
+                    node.lineno,
+                    node.col_offset + 1,
+                    "storage-mode import outside the storage layer; the "
+                    "`reference` mode switches only Database.scan and "
+                    "Database.image",
+                )
+            )
+        elif _is_thread(node):
             violations.append(
                 (
                     node.lineno,
