@@ -1,9 +1,9 @@
 """Scaling benchmark for the parallel fixpoint offload.
 
 Runs the same workload matrix twice in the *same* tree -- once at
-``set_parallelism(1)`` (the sequential oracle path) and once at
-``set_parallelism(min(4, os.cpu_count()))`` -- under the columnar executor
-and kernel storage, and reports per-cell speedups into
+``configured(parallelism=1)`` (the sequential oracle path) and once at
+``configured(parallelism=min(4, os.cpu_count()))`` -- under the columnar
+executor and kernel storage, and reports per-cell speedups into
 ``BENCH_parallel.json``.
 
 ``threshold`` cells are transitive closures of sparse random digraphs with
@@ -156,10 +156,9 @@ def cell_matrix():
 
 def run_pass(flavour: str, repeats: int) -> dict:
     """Measure every cell at ``flavour`` workers (a decimal count)."""
-    from repro.datalog.plans import execution_mode
+    from repro.config import configured
     from repro.engines import run_engine
     from repro.instrumentation import Counters
-    from repro.parallel import set_parallelism
 
     workers = int(flavour)
     results = {}
@@ -174,16 +173,12 @@ def run_pass(flavour: str, repeats: int) -> dict:
             result = run_engine("seminaive", program, query, fresh, counters)
             return time.perf_counter() - started, len(result.answers)
 
-        set_parallelism(workers)
-        try:
-            with execution_mode("columnar"):
-                best = float("inf")
-                answers = None
-                for _ in range(repeats):
-                    seconds, answers = one_run()
-                    best = min(best, seconds)
-        finally:
-            set_parallelism(1)
+        with configured(parallelism=workers, execution="columnar"):
+            best = float("inf")
+            answers = None
+            for _ in range(repeats):
+                seconds, answers = one_run()
+                best = min(best, seconds)
         gc.collect()
         results[name] = {"seconds": best, "answers": answers}
     return results

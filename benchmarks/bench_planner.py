@@ -2,7 +2,7 @@
 
 Runs the same workload matrix twice in alternating subprocesses -- once
 under the default ``legacy`` plan mode and once under
-``set_plan_mode("cost")`` -- and reports per-cell speedups.  Both passes
+``configured(plan="cost")`` -- and reports per-cell speedups.  Both passes
 run the current tree (the legacy planner is preserved verbatim, so the
 same-tree comparison *is* the honest before/after).
 
@@ -125,7 +125,7 @@ def cell_matrix():
 
 def run_pass(flavour: str, repeats: int) -> dict:
     """Measure every cell under ``flavour`` ("legacy" or "cost")."""
-    from repro.datalog.plans import plan_mode
+    from repro.config import configured
     from repro.engines import run_engine
     from repro.instrumentation import Counters
 
@@ -141,7 +141,7 @@ def run_pass(flavour: str, repeats: int) -> dict:
             result = run_engine(engine, program, query, fresh, counters)
             return time.perf_counter() - started, len(result.answers)
 
-        with plan_mode(flavour):
+        with configured(plan=flavour):
             seconds, answers = calibrated_best(
                 one_run, repeats, floor_seconds=0.5, max_loops=12
             )

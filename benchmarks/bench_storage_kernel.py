@@ -34,6 +34,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -104,17 +105,19 @@ def measure_cell(generator, size, engine, repeats):
 
 
 def run_measurements(repeats, mode=None):
+    """One pass over the matrix; ``mode`` names the storage setting, and
+    ``None`` leaves the tree's defaults (the only choice a tree that predates
+    ``repro.config`` accepts)."""
+    settings = contextlib.nullcontext()
     if mode is not None:
-        try:
-            from repro.storage import set_storage_mode
+        from repro.config import configured
 
-            set_storage_mode(mode)
-        except ImportError:  # pre-kernel baseline tree: no storage package
-            pass
+        settings = configured(storage=mode)
     results = {}
-    for cell, (generator, size, engine) in workload_matrix().items():
-        seconds, answer_count = measure_cell(generator, size, engine, repeats)
-        results[cell] = {"seconds": seconds, "answers": answer_count}
+    with settings:
+        for cell, (generator, size, engine) in workload_matrix().items():
+            seconds, answer_count = measure_cell(generator, size, engine, repeats)
+            results[cell] = {"seconds": seconds, "answers": answer_count}
     return results
 
 

@@ -3,9 +3,10 @@
 Evaluates the left-linear transitive closure of many short disjoint chains.
 The closure's only delta plan, ``path(X, Z) :- path(X, Y), edge(Y, Z)``,
 carries ``X`` from the recursive literal to the head unchanged, so the
-fixpoint partitions by ``X``: with ``set_parallelism(n)`` for ``n > 1`` and
-a seed delta of at least 4096 rows, each of ``n`` forked workers runs every
-delta round of its partition and the parent merges the new rows once.
+fixpoint partitions by ``X``: with ``configured(parallelism=n)`` for
+``n > 1`` and a seed delta of at least 4096 rows, each of ``n`` forked
+workers runs every delta round of its partition and the parent merges the
+new rows once.
 
 The point of the demo is the invariant, not the speed-up (thousands of
 short chains derive every row exactly once, the shape that gains least):
@@ -17,10 +18,9 @@ Run with:  python examples/parallel_fixpoint.py [chain length, at least 5]
 
 import sys
 
-from repro import set_parallelism
+from repro import configured
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_literal, parse_program
-from repro.datalog.plans import execution_mode
 from repro.engines import run_engine
 from repro.parallel import fork_available
 
@@ -45,13 +45,8 @@ def build(length):
 
 def evaluate(workers, length):
     program, database, query = build(length)
-    previous = set_parallelism(workers)
-    try:
-        with execution_mode("columnar"):
-            result = run_engine("seminaive", program, query, database)
-    finally:
-        set_parallelism(previous)
-    return result
+    with configured(parallelism=workers, execution="columnar"):
+        return run_engine("seminaive", program, query, database)
 
 
 def main() -> None:

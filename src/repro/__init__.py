@@ -29,6 +29,9 @@ Public API overview
     The serving layer: versioned databases, cached materializations with
     incremental resume, prepared/parameterized queries
     (:class:`~repro.session.QuerySession`).
+``repro.config``
+    The evaluation settings: one frozen :class:`~repro.config.EvalConfig`
+    per thread, changed for a block with :func:`~repro.config.configured`.
 
 Quickstart
 ----------
@@ -59,8 +62,8 @@ from .datalog import (
     parse_query,
     parse_rules,
 )
+from .config import EvalConfig, configured, current_config
 from .instrumentation import Counters
-from .parallel import parallelism, set_parallelism
 
 __version__ = "1.0.0"
 
@@ -69,6 +72,7 @@ __all__ = [
     "Counters",
     "Database",
     "Delta",
+    "EvalConfig",
     "Literal",
     "Program",
     "ProgramAnalysis",
@@ -76,14 +80,14 @@ __all__ = [
     "Variable",
     "analyze",
     "answer_query",
+    "configured",
+    "current_config",
     "evaluate_query",
     "least_model",
-    "parallelism",
     "parse_literal",
     "parse_program",
     "parse_query",
     "parse_rules",
-    "set_parallelism",
     "QuerySession",
     "__version__",
 ]

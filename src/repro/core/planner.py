@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
+from ..config import current_config
 from ..datalog.analysis import ProgramAnalysis, analyze
 from ..datalog.database import Database
 from ..datalog.errors import NotApplicableError
@@ -147,16 +148,16 @@ def estimate_strategy_costs(
     program.  Units are arbitrary "row visits": only ratios between the
     returned entries are meaningful.  An unbound query gets no demand
     discount, so the model strategies win it, matching the session's
-    legacy preference.  Under ``set_plan_mode("cost")`` the statistics are
+    legacy preference.  Under ``configured(plan="cost")`` the statistics are
     sharpened with :class:`repro.datalog.abstract.AbstractAnalysis`
     overrides: provably-empty derived predicates price at zero and finite
     inferred domains cap estimated cardinalities.
     """
-    from ..datalog.plans import estimated_body_cost, get_plan_mode
+    from ..datalog.plans import estimated_body_cost
     from ..stats import PlanStatistics
 
     overrides: Dict[str, int] = {}
-    if get_plan_mode() == "cost":
+    if current_config().plan == "cost":
         # Under the cost model, sharpen the statistics with the abstract
         # interpreter's verdicts: derived predicates proven empty cost
         # nothing, and all-finite inferred domains bound the cardinality

@@ -19,9 +19,9 @@ This subpackage is the foundation everything else builds on:
   hash indexes with positional binding slots.  All bottom-up engines share
   this layer through a delta-aware plan cache (one variant per recursive
   occurrence for seminaive evaluation), and a reference interpreted executor
-  can be selected with :func:`repro.datalog.plans.set_execution_mode` for
-  differential testing -- both executors must produce identical answers and
-  identical work counters;
+  can be selected with ``configured(execution="interpreted")``
+  (:mod:`repro.config`) for differential testing -- both executors must
+  produce identical answers and identical work counters;
 * :mod:`~repro.datalog.analysis` -- the polarity-labelled dependency graph,
   SCCs, the program classes of Section 2 (linear, binary-chain, regular,
   ...) and the stratification pass for negation/aggregation;
@@ -52,13 +52,9 @@ from .plans import (
     delta_plan,
     delta_plans,
     drain_planner_events,
-    execution_mode,
     get_execution_mode,
     get_plan_mode,
-    plan_mode,
     rule_plan,
-    set_execution_mode,
-    set_plan_mode,
 )
 from .rules import Program, Rule, program_from_rules, rule
 from .semantics import (
@@ -111,18 +107,14 @@ __all__ = [
     "delta_plans",
     "derived_relation",
     "drain_planner_events",
-    "execution_mode",
     "get_execution_mode",
     "get_plan_mode",
-    "plan_mode",
-    "set_plan_mode",
     "ground_atom",
     "is_true",
     "least_model",
     "make_constant",
     "make_term",
     "rule_plan",
-    "set_execution_mode",
     "stratified_model",
     "parse_literal",
     "parse_program",

@@ -35,9 +35,8 @@ from typing import (
     Tuple,
 )
 
+from ..config import current_config
 from ..instrumentation import Counters
-from ..storage import runtime as _storage_runtime
-from ..storage.runtime import MODE_KERNEL
 from ..storage.table import FULL_SCAN, BucketToken, IntTable
 from .literals import Literal
 from .rules import Program, Rule
@@ -571,7 +570,7 @@ class Database:
         # is live internal state and must be snapshotted before returning.
         result = candidates if token is FULL_SCAN else list(candidates)
         if charge:
-            if _storage_runtime._mode == MODE_KERNEL:
+            if current_config().storage == "kernel":
                 self.charge_bucket(predicate, token, result, relation.table.mutations)
             else:
                 self._charge(predicate, result)
@@ -592,7 +591,7 @@ class Database:
         if relation is None:
             return set()
         position, output = (1, 0) if inverted else (0, 1)
-        if relation.arity != 2 or _storage_runtime._mode != MODE_KERNEL:
+        if relation.arity != 2 or current_config().storage != "kernel":
             # Reference path: the historical per-row object-tuple loop.
             result: Set[object] = set()
             for value in values:

@@ -105,7 +105,6 @@ __all__ = [
     "query_strategy_report",
     "rule_safety_diagnostics",
     "stratification_cycle_diagnostic",
-    "set_eager_validation",
     "eager_validation_enabled",
     "ensure_valid",
     "abstract_diagnostics",
@@ -248,31 +247,13 @@ def _span_dict(span: Optional[Span]) -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# Eager-validation switch (Engine.answer / QuerySession drivers)
+# Eager validation (Engine.answer and QuerySession)
 # ---------------------------------------------------------------------------
-
-_EAGER_VALIDATION = True
-
-
-def set_eager_validation(enabled: bool) -> bool:
-    """Toggle prepare-time validation globally; returns the previous value.
-
-    With eager validation on (the default), :meth:`repro.engines.base.Engine
-    .answer` and :class:`repro.session.QuerySession` validate the program
-    *before* any evaluation starts, so a stratification cycle raises at
-    prepare time instead of mid-fixpoint.  Turning it off restores the
-    historical lazy behaviour (the same exceptions surface later, from
-    inside the runtime).  Evaluation results are identical either way.
-    """
-    global _EAGER_VALIDATION
-    previous = _EAGER_VALIDATION
-    _EAGER_VALIDATION = bool(enabled)
-    return previous
 
 
 def eager_validation_enabled() -> bool:
-    """Whether prepare-time validation is currently on."""
-    return _EAGER_VALIDATION
+    """Always ``True``: programs are validated before evaluation starts."""
+    return True
 
 
 def ensure_valid(program: Program, database: Optional[object] = None) -> None:
@@ -280,8 +261,8 @@ def ensure_valid(program: Program, database: Optional[object] = None) -> None:
 
     Positive programs were fully validated at construction; the one check
     that historically fired mid-evaluation is stratifiability, so that is
-    what runs here (memoized per program -- repeated calls are O(1)).
-    Honors :func:`set_eager_validation`.
+    what runs here (memoized per program -- repeated calls are O(1)): a
+    stratification cycle raises before evaluation starts, not mid-fixpoint.
 
     When ``database`` is supplied the abstract-interpretation layer also
     runs (memoized per program instance and database version) and records
@@ -289,8 +270,6 @@ def ensure_valid(program: Program, database: Optional[object] = None) -> None:
     surfaces them.  The analysis never charges a work counter and never
     raises: its findings are warnings and hints, not errors.
     """
-    if not _EAGER_VALIDATION:
-        return
     if not program.is_positive:
         from .analysis import Stratification
 

@@ -51,7 +51,7 @@ instead of reporting no position at all.
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DatalogSyntaxError
 from .literals import BUILTIN_PREDICATES, Literal
@@ -185,7 +185,6 @@ class _Parser:
         # fresh variable (never unified with another `_`), numbered in
         # occurrence order so a printed clause reparses to equal structure.
         self._anonymous = 0
-        self._pending_atom: Optional[Literal] = None
 
     def _fresh_anonymous(self) -> Variable:
         variable = Variable(f"{ANONYMOUS_PREFIX}{self._anonymous}")
@@ -267,7 +266,7 @@ class _Parser:
             raise self._end_of_input("expected a literal")
         if token.kind == "IDENT" and token.text == "not":
             self.advance()
-            inner = self.parse_literal()  # the patched entry point handles atoms
+            inner = self.parse_literal()
             if inner.is_builtin:
                 raise DatalogSyntaxError(
                     f"built-in comparison {inner} cannot be negated; "
@@ -282,34 +281,41 @@ class _Parser:
             negated.span = token.span.merge(inner.span)
             return negated
         # Either `ident(args)` or an infix comparison `term OP term`.
-        first_term, was_plain_atom = self.parse_term_or_atom()
+        first = self.parse_term_or_atom()
         nxt = self.peek()
         if nxt is not None and nxt.kind == "COMPARE":
             op = self.advance().text
-            right, _ = self.parse_term_or_atom()
+            right = self.parse_term_or_atom()
+            for operand in (first, right):
+                if isinstance(operand, Literal):
+                    raise DatalogSyntaxError(
+                        f"comparison operand {operand} is an atom, not a term",
+                        span=operand.span,
+                    )
             if op not in BUILTIN_PREDICATES:
                 raise DatalogSyntaxError(
                     f"unknown comparison operator {op!r}", span=nxt.span
                 )
-            comparison = Literal(op, [first_term, right])
-            comparison.span = merge_spans(first_term.span, nxt.span, right.span)
+            comparison = Literal(op, [first, right])
+            comparison.span = merge_spans(first.span, nxt.span, right.span)
             return comparison
-        if was_plain_atom and isinstance(first_term, Constant):
+        if isinstance(first, Literal):
+            return first
+        if isinstance(first, Constant):
             # A zero-argument predicate like `halt.` -- represent as arity 0.
-            atom = Literal(str(first_term.value), [])
-            atom.span = first_term.span
+            atom = Literal(str(first.value), [])
+            atom.span = first.span
             return atom
         raise DatalogSyntaxError(
             f"expected a literal near {token.text!r}", span=token.span
         )
 
-    def parse_term_or_atom(self) -> Tuple[Term, bool]:
-        """Parse either a term, or an atom ``p(t, ...)`` (returned via exception path).
+    def parse_term_or_atom(self) -> Union[Term, Literal]:
+        """Parse either a term, or an atom ``p(t, ...)``.
 
-        Returns ``(term, True)`` when the construct was a bare identifier or
-        literal value.  When an identifier is immediately followed by ``(`` we
-        instead parse the full atom and *raise through* by storing it --
-        handled by :meth:`parse_literal` through `_pending_atom`.
+        An identifier immediately followed by ``(`` starts an atom, which is
+        returned as a :class:`Literal`; anything else is a bare identifier or
+        literal value, returned as a term.
         """
         token = self.advance()
         if token.kind == "IDENT":
@@ -326,16 +332,12 @@ class _Parser:
                 rparen = self.expect("RPAREN")
                 atom = Literal(token.text, args)
                 atom.span = token.span.merge(rparen.span)
-                self._pending_atom = atom
-                raise _AtomParsed(atom)
-            return self._name_term(token), True
+                return atom
+            return self._name_term(token)
         if token.kind == "NUMBER":
-            return self._spanned(Constant(int(token.text)), token), True
+            return self._spanned(Constant(int(token.text)), token)
         if token.kind == "STRING":
-            return (
-                self._spanned(Constant(_unquote_string(token.text, token.span)), token),
-                True,
-            )
+            return self._spanned(Constant(_unquote_string(token.text, token.span)), token)
         raise DatalogSyntaxError(f"unexpected token {token.text!r}", span=token.span)
 
     def _spanned(self, term: Term, token: Token) -> Term:
@@ -409,37 +411,6 @@ class _Parser:
                 span=component.span or token.span,
             )
         return component.value
-
-
-class _AtomParsed(Exception):
-    """Internal control-flow signal: a full atom was parsed where a term could be."""
-
-    def __init__(self, atom: Literal):
-        super().__init__(str(atom))
-        self.atom = atom
-
-
-def _parse_literal_with_atoms(parser: _Parser) -> Literal:
-    try:
-        return parser.parse_literal()
-    except _AtomParsed as signal:
-        return signal.atom
-
-
-# Patch the grammar entry points to route the atom signal.  Using the
-# exception keeps parse_term_or_atom simple while letting `p(X) < q(Y)` be
-# rejected naturally (comparisons only accept plain terms).
-_original_parse_literal = _Parser.parse_literal
-
-
-def _parse_literal(self: _Parser) -> Literal:  # type: ignore[override]
-    try:
-        return _original_parse_literal(self)
-    except _AtomParsed as signal:
-        return signal.atom
-
-
-_Parser.parse_literal = _parse_literal  # type: ignore[method-assign]
 
 
 def parse_program(text: str, validate: bool = True) -> Program:

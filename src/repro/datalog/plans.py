@@ -39,12 +39,12 @@ relation while every other literal reads the full database.
 
 Counter semantics are preserved exactly: a plan charges ``fact_retrievals``
 and ``distinct_facts`` for precisely the rows the interpreted nested-loop
-join would have charged for the same literal order, which
-:func:`set_execution_mode` makes checkable -- in ``"interpreted"`` mode every
-plan runs through a reference substitution-dictionary executor over the same
-ordered body, and the differential tests assert it and the default
-``"columnar"`` mode produce identical answers *and* identical counters on
-every workload.
+join would have charged for the same literal order, which the
+``execution`` setting of :class:`repro.config.EvalConfig` makes checkable --
+under ``"interpreted"`` every plan runs through a reference
+substitution-dictionary executor over the same ordered body, and the
+differential tests assert it and the default ``"columnar"`` executor produce
+identical answers *and* identical counters on every workload.
 
 :func:`compile_image` is the analogous once-per-expression compiler for the
 relational-algebra node images used by the Henschen-Naqvi and counting
@@ -54,7 +54,6 @@ engines.
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 from itertools import repeat as _repeat
 from typing import (
     Callable,
@@ -68,6 +67,7 @@ from typing import (
     Tuple,
 )
 
+from ..config import current_config
 from ..storage.columns import build_probe, extern_columns
 from ..storage.table import FULL_SCAN
 from .database import Database, Row
@@ -82,92 +82,15 @@ Substitution = Dict[Variable, object]
 SOURCE_MAIN = 0      # the primary database
 SOURCE_DERIVED = 1   # the secondary (delta) database
 
-_MODE_INTERPRETED = "interpreted"
-_MODE_COLUMNAR = "columnar"
-_mode = _MODE_COLUMNAR
-
-
-def set_execution_mode(mode: str) -> None:
-    """Select how plans execute: ``"columnar"`` (default) or ``"interpreted"``.
-
-    The columnar mode drives :meth:`JoinPlan.head_batch`, the whole-batch
-    executor the stratified runtime fires rules through: each scan step
-    processes the entire binding batch at once -- one index probe per parent
-    row through a per-key memo, vectorized builtin filters over value
-    columns, anti-join reducers for negation -- with charging replicated bit
-    for bit in both storage modes (see :mod:`repro.storage.columns`).  The
-    plan's private row executor serves the generator entry points
-    (:meth:`JoinPlan.substitutions` / :meth:`JoinPlan.heads`, whose callers
-    may interleave arbitrary writes with consumption) and the firings a
-    batch cannot run (see :meth:`JoinPlan.head_batch`).
-
-    The interpreted mode runs the reference substitution-dictionary
-    nested-loop join over the *same* plan (same literal order, same builtin
-    placement, same delta sources) and exists so the differential tests can
-    assert the executors agree on answers and counters.
-    """
-    global _mode
-    if mode not in (_MODE_INTERPRETED, _MODE_COLUMNAR):
-        raise ValueError(f"unknown execution mode {mode!r}")
-    _mode = mode
-
 
 def get_execution_mode() -> str:
-    """The currently selected execution mode."""
-    return _mode
-
-
-@contextmanager
-def execution_mode(mode: str):
-    """Context manager temporarily switching the execution mode."""
-    previous = _mode
-    set_execution_mode(mode)
-    try:
-        yield
-    finally:
-        set_execution_mode(previous)
-
-
-_PLAN_LEGACY = "legacy"
-_PLAN_COST = "cost"
-_plan_mode = _PLAN_LEGACY
-
-
-def set_plan_mode(mode: str) -> None:
-    """Select how plans are *ordered*: ``"legacy"`` (default) or ``"cost"``.
-
-    Orthogonal to :func:`set_execution_mode` (how the chosen plan runs).
-    The legacy planner is the greedy bound-count order with textual
-    tie-breaking whose work counters are pinned bit-identically on the
-    paper samples.  The cost planner reads relation statistics
-    (:mod:`repro.stats`) through the ``database=`` argument of the plan
-    builders and orders scans by estimated intermediate-result size --
-    Selinger-style dynamic programming up to :data:`_DP_LIMIT` scan
-    literals, greedy with pairwise lookahead beyond -- and is only active
-    when a builder is given a database to measure; without one it falls
-    back to the legacy order, so cache keys (and plans) for statistics-free
-    call sites are byte-identical in both modes.
-    """
-    global _plan_mode
-    if mode not in (_PLAN_LEGACY, _PLAN_COST):
-        raise ValueError(f"unknown plan mode {mode!r}")
-    _plan_mode = mode
+    """The calling thread's ``execution`` setting (see :mod:`repro.config`)."""
+    return current_config().execution
 
 
 def get_plan_mode() -> str:
-    """The currently selected plan mode."""
-    return _plan_mode
-
-
-@contextmanager
-def plan_mode(mode: str):
-    """Context manager temporarily switching the plan mode."""
-    previous = _plan_mode
-    set_plan_mode(mode)
-    try:
-        yield
-    finally:
-        set_plan_mode(previous)
+    """The calling thread's ``plan`` setting (see :mod:`repro.config`)."""
+    return current_config().plan
 
 
 #: Bounded ring of planner runtime events (adaptive re-plans, estimate
@@ -663,7 +586,7 @@ class JoinPlan:
         initial: Optional[Substitution] = None,
     ) -> Iterator[Substitution]:
         """Enumerate the substitutions satisfying the body (legacy contract)."""
-        if _mode == _MODE_INTERPRETED:
+        if current_config().execution == "interpreted":
             yield from self._execute_interpreted(database, derived, initial)
             return
         out_vars = self.out_vars
@@ -678,7 +601,7 @@ class JoinPlan:
     ) -> Iterator[Row]:
         """Enumerate head rows, one per satisfying body instantiation."""
         template = self.head_template
-        if _mode == _MODE_INTERPRETED:
+        if current_config().execution == "interpreted":
             for substitution in self._execute_interpreted(database, derived, initial):
                 self._check_head_ground()
                 yield tuple(
@@ -1698,7 +1621,7 @@ def compile_plan(
     work counters are pinned on the paper samples.
 
     ``statistics`` (a :class:`repro.stats.PlanStatistics` view, supplied by
-    the cached builders under ``set_plan_mode("cost")``) switches the scan
+    the cached plan lookups under ``configured(plan="cost")``) switches the scan
     ordering from the greedy bound-count heuristic to the estimated-cost
     search of :func:`_cost_order`: the delta occurrence -- when one exists
     -- is always the driver and only the residual join is searched, and the
@@ -1905,7 +1828,7 @@ def _body_statistics(body: Sequence[Literal], database, overrides=None):
     hold and recompiled only when a relation crosses a power-of-two
     boundary (or an override -- an observed delta size -- does).
     """
-    if _plan_mode != _PLAN_COST or database is None:
+    if database is None or current_config().plan != "cost":
         return None, ()
     from ..stats import PlanStatistics
 
@@ -2000,7 +1923,7 @@ class AggregateFold:
 
     For a rule such as ``sp(X, Y, min(C)) :- path(X, Y, C).`` the fold runs
     the body's join plan (the row executor, or the interpreted one under
-    ``set_execution_mode("interpreted")``), groups the satisfying
+    ``configured(execution="interpreted")``), groups the satisfying
     substitutions by the head's plain terms and folds, per group, the *set
     of distinct values* each aggregated variable takes -- Datalog is
     set-based, so this is the only well-defined reading (``sum`` sums

@@ -21,12 +21,11 @@ predicates: the differential test suite proves answers identical against
 the untransformed program for every engine x storage mode x plan mode x
 execution mode.
 
-The optimizer sits behind a process-wide mode switch exactly like the plan
-compiler's (:func:`repro.datalog.plans.set_plan_mode`):
+The ``optimize`` setting of :class:`repro.config.EvalConfig` selects it:
 
-* ``"off"`` (default) -- :meth:`repro.engines.base.Engine.answer` runs the
+* ``False`` (default) -- :meth:`repro.engines.base.Engine.answer` runs the
   program as written; every paper-sample counter pin stays bit-identical;
-* ``"on"`` -- ``answer`` rewrites the program (guarded by the engine's
+* ``True`` -- ``answer`` rewrites the program (guarded by the engine's
   applicability check: an engine restricted to a syntactic class falls back
   to the original program when the rewrite leaves the class).
 
@@ -38,10 +37,10 @@ justified by the *current* EDB and would be unsound across later inserts.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..config import current_config
 from .abstract import AbstractAnalysis, database_ref
 from .analysis import ProgramAnalysis, reachable_from
 from .literals import Literal
@@ -58,33 +57,10 @@ SUBSUMPTION_BODY_LIMIT = 8
 #: that trades rule count for join width the planner then has to claw back.
 UNFOLD_BODY_LIMIT = 12
 
-_PROGRAM_OPT_OFF = "off"
-_PROGRAM_OPT_ON = "on"
-_PROGRAM_OPT = _PROGRAM_OPT_OFF
-
-
-def set_program_opt(mode: str) -> None:
-    """Select the program-optimizer mode: ``"off"`` (default) or ``"on"``."""
-    global _PROGRAM_OPT
-    if mode not in (_PROGRAM_OPT_OFF, _PROGRAM_OPT_ON):
-        raise ValueError(f"unknown program optimizer mode {mode!r}")
-    _PROGRAM_OPT = mode
-
 
 def get_program_opt() -> str:
-    """The active program-optimizer mode."""
-    return _PROGRAM_OPT
-
-
-@contextmanager
-def program_opt(mode: str) -> Iterator[None]:
-    """Temporarily select a program-optimizer mode."""
-    previous = get_program_opt()
-    set_program_opt(mode)
-    try:
-        yield
-    finally:
-        set_program_opt(previous)
+    """The calling thread's ``optimize`` setting as ``"on"`` or ``"off"``."""
+    return "on" if current_config().optimize else "off"
 
 
 @dataclass

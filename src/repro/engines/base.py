@@ -92,6 +92,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple, Type
 
+from ..config import current_config
 from ..datalog.database import Database, Delta, Row, normalize_row
 from ..datalog.errors import NotApplicableError
 from ..datalog.literals import Literal
@@ -134,7 +135,7 @@ class EngineResult:
         The :class:`~repro.instrumentation.BatchStats` carried by
         :attr:`counters` -- batches committed, rows in/out, row-loop
         fallbacks, and per-plan-node counts.  All zeros when the run
-        executed under ``set_execution_mode("interpreted")``.
+        executed under ``configured(execution="interpreted")``.
         """
         return self.counters.batch
 
@@ -465,18 +466,20 @@ class Engine:
         """
         counters = counters if counters is not None else Counters()
         from ..datalog.diagnostics import ensure_valid
-        from ..datalog.transform import get_program_opt, optimize
+        from ..datalog.transform import optimize
         from ..session.facts import combined_database, combined_snapshot
 
-        # Validate against the memoized snapshot under the per-call overlay:
-        # the abstract-interpretation layer (memoized per program and
-        # database object, its DL7xx findings recorded on the planner event
-        # ring for ``explain()``) then runs once per database version.
-        ensure_valid(program, combined_snapshot(program, database))
+        # Validate and optimize against the memoized snapshot under the
+        # per-call overlay: the abstract-interpretation layer and the
+        # optimizer (memoized per program and database object, the DL7xx
+        # findings recorded on the planner event ring for ``explain()``)
+        # then run once per database version.
+        snapshot = combined_snapshot(program, database)
+        ensure_valid(program, snapshot)
         combined = combined_database(program, database, counters)
-        if get_program_opt() == "on":
+        if current_config().optimize:
             rewritten = optimize(
-                program, queries=(query.predicate,), database=combined
+                program, queries=(query.predicate,), database=snapshot
             )
             optimized = rewritten.program
             if (

@@ -54,14 +54,14 @@ aggregation included:
 
 **Parallel evaluation.**  Evaluation runs on the caller's thread, one
 component at a time.  The one parallel path is the *whole-fixpoint offload*
-of :func:`_offload_fixpoint`: when :func:`repro.parallel.set_parallelism`
-(or the ``REPRO_PARALLELISM`` environment variable) allows more than one
-worker, a component whose delta rounds are one left-linear plan with an
-invariant column (see :class:`~repro.datalog.plans.ShardRecipe`) and whose
-seed delta holds at least :data:`_SHARD_MIN_ROWS` rows forks a
-:class:`~repro.parallel.WorkerPool`, runs every delta round of each
-invariant-column partition in a worker, merges the novel rows once and
-closes the pool.  Answers and counters are identical to sequential
+of :func:`_offload_fixpoint`: when the ``parallelism`` setting of
+:class:`repro.config.EvalConfig` (default: the ``REPRO_PARALLELISM``
+environment variable) allows more than one worker, a component whose delta
+rounds are one left-linear plan with an invariant column (see
+:class:`~repro.datalog.plans.ShardRecipe`) and whose seed delta holds at
+least :data:`_SHARD_MIN_ROWS` rows forks a :class:`~repro.parallel.WorkerPool`,
+runs every delta round of each invariant-column partition in a worker,
+merges the novel rows once and closes the pool.  Answers and counters are identical to sequential
 evaluation, which the default of ``1`` runs byte for byte and which stays
 the differential oracle.
 
@@ -78,6 +78,7 @@ from itertools import repeat as _repeat
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .. import parallel as _parallel
+from ..config import current_config
 from ..datalog.analysis import ProgramAnalysis, Stratification, analyze
 from ..datalog.database import Database, Delta, Relation, Row
 from ..datalog import plans as _plans
@@ -111,7 +112,7 @@ def _batch_heads(
     databases the plan does not read) is written; ``frozen`` callers write
     none of ``database``.
     """
-    if _plans._mode == _plans._MODE_INTERPRETED:
+    if current_config().execution == "interpreted":
         return None
     return plan.head_batch(database, derived=derived, frozen=frozen)
 
@@ -308,7 +309,7 @@ def evaluate_component(
     # Mid-fixpoint adaptive re-planning (cost mode).  ``assumed`` records
     # the cardinality each recursive predicate was costed with when the
     # current variants were compiled.
-    adaptive = _plans._plan_mode == _plans._PLAN_COST
+    adaptive = current_config().plan == "cost"
     assumed: Dict[str, float] = {}
     if adaptive:
         for predicate in recursive_key:
@@ -435,10 +436,11 @@ def _offload_fixpoint(
     probed relation during the component's fixpoint and the pool closes
     before this function returns.
     """
-    workers = _parallel.parallelism()
+    config = current_config()
+    workers = config.parallelism
     if (
         workers <= 1
-        or _plans._mode == _plans._MODE_INTERPRETED
+        or config.execution == "interpreted"
         or not _parallel.fork_available()
     ):
         return False
@@ -572,7 +574,7 @@ def _merge_fixpoint(
     batch_stats.merge_seconds += time.perf_counter() - started
 
 
-def _shard_fixpoint_worker(payload):
+def _shard_fixpoint_worker(payload, state):
     """Iterate one invariant-column partition to its local fixpoint.
 
     The forked child receives the component's *seed* delta (the round-0
@@ -598,7 +600,7 @@ def _shard_fixpoint_worker(payload):
     empties.
     """
     workers, windex, col_bytes = payload
-    database, plan = _parallel.pool_state()
+    database, plan = state
     recipe = plan.shard_recipe()
     interner = global_interner()
     base_len = len(interner)

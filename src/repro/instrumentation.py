@@ -20,9 +20,9 @@ from typing import Dict, List
 class BatchStats:
     """Columnar batch-execution telemetry (observability, not work counters).
 
-    The columnar executor (the default execution mode, see
-    :func:`repro.datalog.plans.set_execution_mode`) processes whole binding
-    batches per scan step.
+    The columnar executor (the default ``execution`` setting of
+    :class:`repro.config.EvalConfig`) processes whole binding batches per
+    scan step.
     These statistics record how much of the hot path actually ran batched --
     batches executed, rows entering and leaving the pipeline, and how often
     a plan fell back to the row-at-a-time loop -- without participating in

@@ -144,7 +144,7 @@ def _fails(diagnostic: Diagnostic, strict: bool) -> bool:
     return strict and diagnostic.severity is Severity.WARNING
 
 
-def _lint_payload(spec):
+def _lint_payload(spec, _state=None):
     """One file's report in picklable form: ``(fatal, items, signatures)``.
 
     ``spec`` is the path string, or ``(path, analyze)``.  ``items`` carries,
@@ -152,7 +152,7 @@ def _lint_payload(spec):
     pre-formatted text line, and the JSON dict -- so the parent process
     never has to reconstruct Diagnostic objects from a worker's result.
     ``signatures`` holds the inferred predicate signatures under
-    ``--analyze`` (empty otherwise).
+    ``--analyze`` (empty otherwise).  The pool's ``_state`` is unused.
     """
     if isinstance(spec, str):
         path_str, analyze = spec, False

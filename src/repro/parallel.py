@@ -1,29 +1,31 @@
-"""Process parallelism: the ``set_parallelism`` setting and a fork worker pool.
+"""Process parallelism: a fork worker pool.
 
 Evaluation runs on the caller's thread.  Parallelism is fork-only, and it
 has two users: the whole-fixpoint offload of :mod:`repro.engines.runtime`
 and parallel corpus linting in :mod:`repro.lint`.  This module holds what
 they share:
 
-``set_parallelism(n)`` / ``parallelism()``
-    How many cores the process may use.  The default (``1``, overridable
-    through the ``REPRO_PARALLELISM`` environment variable) keeps every
-    evaluation on the sequential path, which stays the differential oracle
-    and keeps the paper-sample counter pins bit-identical.  With ``n > 1``
-    a component whose delta rounds are one left-linear plan with an
-    invariant column, over a seed delta of at least 4096 rows, runs its
-    fixpoint on ``n`` forked workers; answers and
+:func:`parallelism`
+    How many cores evaluation may use: the ``parallelism`` field of the
+    calling thread's :class:`repro.config.EvalConfig`.  The default (``1``,
+    overridable through the ``REPRO_PARALLELISM`` environment variable)
+    keeps every evaluation on the sequential path, which stays the
+    differential oracle and keeps the paper-sample counter pins
+    bit-identical.  With ``n > 1`` a component whose delta rounds are one
+    left-linear plan with an invariant column, over a seed delta of at
+    least 4096 rows, runs its fixpoint on ``n`` forked workers; answers and
     :class:`~repro.instrumentation.Counters` are identical either way (see
     ``tests/engines/test_parallel_differential``).
 
 :class:`WorkerPool`
     A pool of fork-spawned worker processes talking over pipes.  Fork is
     essential, not incidental: workers inherit the parent's interner,
-    databases and compiled plans as copy-on-write memory, so a task only
-    has to name them plus the dense ``array('q')`` code columns of the rows
-    it should process.  Workers are probe-only -- they never write back
-    into inherited state that the parent reads -- and results are collected
-    in task order, so worker timing never leaks into observable output.
+    databases and compiled plans as copy-on-write memory -- and the forking
+    thread's settings -- so a task only has to name them plus the dense
+    ``array('q')`` code columns of the rows it should process.  Workers are
+    probe-only -- they never write back into inherited state that the
+    parent reads -- and results are collected in task order, so worker
+    timing never leaks into observable output.
 
 On platforms without ``fork`` (Windows, some macOS configurations), or when
 forking fails, the pool raises :class:`WorkerError` and every caller falls
@@ -39,9 +41,10 @@ import traceback
 from multiprocessing.process import BaseProcess
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
 
+from .config import current_config
+
 __all__ = [
     "parallelism",
-    "set_parallelism",
     "fork_available",
     "register_task",
     "WorkerPool",
@@ -49,38 +52,9 @@ __all__ = [
 ]
 
 
-def _env_parallelism() -> int:
-    raw = os.environ.get("REPRO_PARALLELISM", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
-
-
-_PARALLELISM = _env_parallelism()
-
-
 def parallelism() -> int:
-    """The current worker count (``1`` means fully sequential evaluation)."""
-    return _PARALLELISM
-
-
-def set_parallelism(workers: int) -> int:
-    """Set the worker count for subsequent evaluations; returns the old value.
-
-    ``1`` restores the exact sequential path.  The setting is process-global
-    (like :func:`repro.datalog.plans.set_execution_mode`): evaluation entry
-    points read it at run time, so no engine or session API changes.
-    """
-    global _PARALLELISM
-    if not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"parallelism must be a positive integer, got {workers!r}")
-    previous = _PARALLELISM
-    _PARALLELISM = workers
-    return previous
+    """The calling thread's worker count (``1`` means sequential evaluation)."""
+    return current_config().parallelism
 
 
 def fork_available() -> bool:
@@ -95,21 +69,16 @@ def fork_available() -> bool:
 # Because workers are forked *after* those imports, children inherit the
 # registry -- nothing is pickled except the per-task payload.
 
-_HANDLERS: Dict[str, Callable[[Any], Any]] = {}
-
-#: Opaque state stashed by the parent immediately before forking a pool and
-#: inherited by the children; task handlers read it via :func:`pool_state`.
-_CHILD_STATE: Any = None
+_HANDLERS: Dict[str, Callable[[Any, Any], Any]] = {}
 
 
-def register_task(kind: str, handler: Callable[[Any], Any]) -> None:
-    """Register ``handler`` for tasks of ``kind`` (parent-side, pre-fork)."""
+def register_task(kind: str, handler: Callable[[Any, Any], Any]) -> None:
+    """Register ``handler`` for tasks of ``kind`` (parent-side, pre-fork).
+
+    Workers call ``handler(payload, state)``, where ``state`` is the object
+    the pool was forked with (see :class:`WorkerPool`).
+    """
     _HANDLERS[kind] = handler
-
-
-def pool_state() -> Any:
-    """The state object the pool was forked with (handler-side accessor)."""
-    return _CHILD_STATE
 
 
 class WorkerError(RuntimeError):
@@ -119,7 +88,7 @@ class WorkerError(RuntimeError):
     """
 
 
-def _worker_main(conn: multiprocessing.connection.Connection) -> None:
+def _worker_main(conn: multiprocessing.connection.Connection, state: Any) -> None:
     handlers = _HANDLERS
     while True:
         try:
@@ -131,7 +100,7 @@ def _worker_main(conn: multiprocessing.connection.Connection) -> None:
         kind, payload = task
         try:
             handler = handlers[kind]
-            result = handler(payload)
+            result = handler(payload, state)
         except BaseException:  # report, keep serving
             conn.send((False, f"task {kind!r} failed:\n{traceback.format_exc()}"))
             continue
@@ -147,11 +116,10 @@ class WorkerPool:
     workers:
         Number of child processes to fork.
     state:
-        Opaque object stashed in :data:`_CHILD_STATE` immediately before
-        forking, so children inherit it; handlers read it back through
-        :func:`pool_state`.  The parent must keep whatever invariants the
-        handlers rely on (e.g. "these relations are frozen") for the pool's
-        lifetime.
+        Opaque object every task handler receives as its second argument.
+        It reaches the children through fork, never pickled, so the parent
+        must keep whatever invariants the handlers rely on (e.g. "these
+        relations are frozen") for the pool's lifetime.
 
     Raises :class:`WorkerError` when fork is unavailable or a worker cannot
     be started; the workers already started are shut down and reaped first.
@@ -160,18 +128,16 @@ class WorkerPool:
     def __init__(self, workers: int, state: Any = None) -> None:
         if not fork_available():
             raise WorkerError("fork start method unavailable on this platform")
-        global _CHILD_STATE
         self.workers = workers
         self._conns: List[multiprocessing.connection.Connection] = []
         self._procs: List[BaseProcess] = []
         context = multiprocessing.get_context("fork")
-        _CHILD_STATE = state
         try:
             for _ in range(workers):
                 parent_conn, child_conn = context.Pipe()
                 self._conns.append(parent_conn)
                 proc = context.Process(
-                    target=_worker_main, args=(child_conn,), daemon=True
+                    target=_worker_main, args=(child_conn, state), daemon=True
                 )
                 try:
                     proc.start()
@@ -184,8 +150,6 @@ class WorkerPool:
             raise WorkerError(
                 f"could not start worker {started + 1} of {workers}"
             ) from exc
-        finally:
-            _CHILD_STATE = None
 
     def run(self, tasks: Sequence[Tuple[str, Any]]) -> List[Any]:
         """Run ``tasks`` across the pool; results come back in task order.

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from ..config import current_config
 from ..core.planner import classify_query, estimate_strategy_costs
 from ..datalog.analysis import ProgramAnalysis, analyze
 from ..datalog.database import Database
@@ -44,13 +45,8 @@ from ..datalog.literals import Literal
 from ..datalog.parser import parse_query
 from ..datalog.rules import Program
 from ..datalog.terms import Constant, Variable
-from ..datalog.plans import (
-    drain_planner_events,
-    get_execution_mode,
-    get_plan_mode,
-    rule_plan,
-)
-from ..datalog.transform import get_program_opt, optimize
+from ..datalog.plans import drain_planner_events, rule_plan
+from ..datalog.transform import optimize
 from ..engines import Engine, EngineResult, Materialization, get_engine
 from ..instrumentation import Counters
 from .facts import program_fingerprint
@@ -86,7 +82,7 @@ def select_engine(
       sets, whose cached fixpoints are seminaively resumable per query;
     * everything else falls back to the model.
 
-    Under ``set_plan_mode("cost")`` -- and when a ``database`` to measure is
+    Under ``configured(plan="cost")`` -- and when a ``database`` to measure is
     supplied -- the static choice is additionally checked against
     :func:`repro.core.planner.estimate_strategy_costs`: the session
     switches to a differently-classified applicable strategy only when the
@@ -113,7 +109,7 @@ def select_engine(
     if (
         database is None
         or classification == "base"
-        or get_plan_mode() != "cost"
+        or current_config().plan != "cost"
     ):
         return choice
     # Cost mode: let the statistics overrule the static pick, with a 2x
@@ -199,22 +195,20 @@ class QuerySession:
     engine:
         Registry name pinning every query to one strategy, or ``None``
         (default) to auto-select per query via :func:`select_engine`.
-    validate:
-        When true (the default), the session runs the program-level static
-        analysis (:func:`repro.datalog.diagnostics.check_program`) at
-        construction: error-severity findings raise immediately (e.g.
-        :class:`~repro.datalog.errors.StratificationError`, with its
-        structured diagnostic) instead of surfacing mid-fixpoint on the
-        first query, and warning/hint findings are collected on
-        :attr:`diagnostics` for the caller to inspect.  Pass ``False`` to
-        skip the analysis (the historical lazy behaviour); evaluation
-        results are identical either way.
+
+    Construction runs the program-level static analysis
+    (:func:`repro.datalog.diagnostics.check_program`): error-severity
+    findings raise immediately (e.g.
+    :class:`~repro.datalog.errors.StratificationError`, with its structured
+    diagnostic) instead of surfacing mid-fixpoint on the first query.
+    Queries evaluate under the calling thread's settings
+    (:func:`repro.config.current_config`).
 
     Attributes
     ----------
     diagnostics:
         Warning/hint :class:`~repro.datalog.diagnostics.Diagnostic` records
-        collected at construction (empty when ``validate=False``).
+        collected at construction.
     """
 
     def __init__(
@@ -222,18 +216,17 @@ class QuerySession:
         program: Program,
         database: Optional[Database] = None,
         engine: Optional[str] = None,
-        validate: bool = True,
     ):
+        from ..datalog.diagnostics import check_program
+
         self.program = program
         self.database = database if database is not None else Database()
         self.engine = engine
         self.fingerprint = program_fingerprint(program)
         self.analysis = analyze(program)
-        self.diagnostics: List["Diagnostic"] = []
-        if validate:
-            from ..datalog.diagnostics import check_program
-
-            self.diagnostics = check_program(program, database=self.database)
+        self.diagnostics: List["Diagnostic"] = check_program(
+            program, database=self.database
+        )
         self._engines: Dict[str, Engine] = {}
         #: (program fingerprint, database version, strategy) -> Materialization
         self._materializations: Dict[Tuple[str, int, str], Materialization] = {}
@@ -266,28 +259,25 @@ class QuerySession:
     ) -> PreparedQuery:
         """A reusable parameterized query; ``params`` name template variables.
 
-        When an engine is pinned (here or session-wide) and eager validation
-        is on, the pin is checked immediately against a probe binding
-        (parameters stand in as constants): an unknown engine name or an
-        inapplicable strategy raises
-        :class:`~repro.datalog.errors.NotApplicableError` at prepare time
-        instead of on the first call.
+        When an engine is pinned (here or session-wide), the pin is checked
+        immediately against a probe binding (parameters stand in as
+        constants): an unknown engine name or an inapplicable strategy
+        raises :class:`~repro.datalog.errors.NotApplicableError` at prepare
+        time instead of on the first call.
         """
         literal = parse_query(query) if isinstance(query, str) else query
         prepared = PreparedQuery(self, literal, params, engine=engine)
         strategy = engine or self.engine
         if strategy is not None:
-            from ..datalog.diagnostics import eager_validation_enabled
             from ..datalog.errors import NotApplicableError
 
-            if eager_validation_enabled():
-                probe = prepared.bind(*(["__probe__"] * len(prepared.params)))
-                if not self._engine_for(strategy).applicable(self.program, probe):
-                    raise NotApplicableError(
-                        f"engine {strategy!r} is not applicable to prepared "
-                        f"query {literal} (checked with a probe binding); "
-                        "pin a different engine or let the session auto-select"
-                    )
+            probe = prepared.bind(*(["__probe__"] * len(prepared.params)))
+            if not self._engine_for(strategy).applicable(self.program, probe):
+                raise NotApplicableError(
+                    f"engine {strategy!r} is not applicable to prepared "
+                    f"query {literal} (checked with a probe binding); "
+                    "pin a different engine or let the session auto-select"
+                )
         return prepared
 
     def strategy_for(self, query: QueryLike) -> str:
@@ -306,27 +296,28 @@ class QuerySession:
         """A text report of how the session would serve ``query``.
 
         Shows the (auto-selected or pinned) strategy, the active plan and
-        execution modes, and -- for every IDB rule -- the compiled join
+        execution settings, and -- for every IDB rule -- the compiled join
         plan via :meth:`~repro.datalog.plans.JoinPlan.explain`: chosen scan
         order, per-step access paths, the cost model's estimates under
-        ``set_plan_mode("cost")``, and observed per-node cardinalities when
-        the ``counters`` of a previous run are passed in.  Any planner
+        ``configured(plan="cost")``, and observed per-node cardinalities
+        when the ``counters`` of a previous run are passed in.  Any planner
         events recorded since the last explain (the adaptive re-planner's
         ``DL601`` estimate-miss hints) are appended and drained.  Under
-        ``set_program_opt("on")`` the report of the query-directed program
-        optimizer (:mod:`repro.datalog.transform`) is included and the rule
-        plans shown are those of the optimized program.
+        ``configured(optimize=True)`` the report of the query-directed
+        program optimizer (:mod:`repro.datalog.transform`) is included and
+        the rule plans shown are those of the optimized program.
         """
         literal = parse_query(query) if isinstance(query, str) else query
         strategy = engine or self.engine or self.strategy_for(literal)
+        config = current_config()
         lines = [
             f"query {literal}",
             f"strategy: {strategy}",
-            f"plan mode: {get_plan_mode()}",
-            f"execution mode: {get_execution_mode()}",
+            f"plan mode: {config.plan}",
+            f"execution mode: {config.execution}",
         ]
         program = self.program
-        if get_program_opt() == "on":
+        if config.optimize:
             rewritten = optimize(
                 program, queries=(literal.predicate,), database=self.database
             )

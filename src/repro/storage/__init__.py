@@ -16,8 +16,8 @@ Layer map::
     pairs.py      binary relations as shared successor indexes + builders
     columns.py    batch probes for the columnar join executor: column
                   extraction, charging and silent index probes
-    runtime.py    the kernel/reference mode switch of Database.scan and
-                  Database.image, for differential testing
+    runtime.py    the kernel/reference storage setting Database.scan and
+                  Database.image read, for differential testing
 
 The work counters of :mod:`repro.instrumentation` measure *retrievals*, not
 representation: every fast path in this kernel charges exactly the rows the
@@ -28,13 +28,6 @@ workload family.
 
 from .interner import Interner, IntRow, global_interner
 from .pairs import EMPTY_STORE, IntPair, PairBuilder, PairStore
-from .runtime import (
-    MODE_KERNEL,
-    MODE_REFERENCE,
-    get_storage_mode,
-    set_storage_mode,
-    storage_mode,
-)
 from .table import FULL_SCAN, BucketToken, IntTable
 
 __all__ = [
@@ -45,12 +38,7 @@ __all__ = [
     "IntRow",
     "IntTable",
     "Interner",
-    "MODE_KERNEL",
-    "MODE_REFERENCE",
     "PairBuilder",
     "PairStore",
-    "get_storage_mode",
     "global_interner",
-    "set_storage_mode",
-    "storage_mode",
 ]

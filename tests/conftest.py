@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from repro.datalog.plans import execution_mode
+from repro.config import configured
 from repro.engines import runtime
 
 #: A matrix cell that runs the default ``columnar`` mode with every runtime
@@ -23,10 +23,10 @@ def _no_batch(plan, database, derived=None, frozen=False):
 def _execution_cell(cell):
     if cell == ROW_FALLBACK:
         with mock.patch.object(runtime, "_batch_heads", _no_batch):
-            with execution_mode("columnar"):
+            with configured(execution="columnar"):
                 yield
         return
-    with execution_mode(cell):
+    with configured(execution=cell):
         yield
 
 

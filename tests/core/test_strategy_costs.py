@@ -1,9 +1,9 @@
 """Cost-based strategy selection: estimates and the session's 2x margin."""
 
+from repro.config import configured
 from repro.core.planner import estimate_strategy_costs
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_literal, parse_program
-from repro.datalog.plans import plan_mode
 from repro.session import select_engine
 
 TC = """
@@ -61,7 +61,7 @@ class TestSelectEngineCostMode:
         # Graph traversal is the cheapest estimate for a bound chain query,
         # so consulting the statistics must not flap the choice.
         program = parse_program(TC)
-        with plan_mode("cost"):
+        with configured(plan="cost"):
             choice = select_engine(
                 program, parse_literal("tc(0, Y)"), database=tc_database()
             )
@@ -69,5 +69,5 @@ class TestSelectEngineCostMode:
 
     def test_cost_mode_without_database_falls_back_to_static(self):
         program = parse_program(TC)
-        with plan_mode("cost"):
+        with configured(plan="cost"):
             assert select_engine(program, parse_literal("tc(0, Y)")) == "graph"

@@ -6,6 +6,7 @@ fixture corpus follows the PR-6 idiom -- one trigger and one near-miss per
 code, asserting the stable code AND the exact ``line:column`` span.
 """
 
+from repro.config import configured
 from repro.datalog.abstract import (
     CONSTANT_WIDTH,
     AbstractAnalysis,
@@ -301,3 +302,27 @@ class TestSurfacing:
         database.add_fact("e", (2, 6))
         assert engine.answer(program, query, database).answers == {(1,), (2,)}
         assert len(builds) == 2
+
+    def test_optimizer_builds_nothing_on_repeat_answers(self, monkeypatch):
+        """With the optimizer on, ``Engine.answer`` must optimize against the
+        memoized snapshot too: the per-call overlay missed the optimizer's
+        memo, so every answer reran the optimizer and its analysis."""
+        builds = []
+        original = AbstractAnalysis._build.__func__
+
+        def counting_build(cls, *args):
+            builds.append(args)
+            return original(cls, *args)
+
+        monkeypatch.setattr(AbstractAnalysis, "_build", classmethod(counting_build))
+        program = parse_program("q(1). q(2).\np(X) :- q(X), e(X, Y).")
+        query = parse_literal("p(X)")
+        database = Database()
+        database.add_facts("e", [(1, 5)])
+        engine = get_engine("seminaive")
+        with configured(optimize=True):
+            assert engine.answer(program, query, database).answers == {(1,)}
+            warm = len(builds)
+            assert engine.answer(program, query, database).answers == {(1,)}
+            assert engine.answer(program, query, database).answers == {(1,)}
+        assert len(builds) == warm

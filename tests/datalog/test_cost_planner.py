@@ -1,7 +1,8 @@
-"""Cost-based join ordering: mode switching, orders, cache keys, events."""
+"""Cost-based join ordering: orders, cache keys, events."""
 
 import pytest
 
+from repro.config import configured
 from repro.datalog.database import Database
 from repro.datalog.diagnostics import CODES, Diagnostic
 from repro.datalog.literals import Literal
@@ -10,11 +11,8 @@ from repro.datalog.plans import (
     compile_plan,
     drain_planner_events,
     estimated_body_cost,
-    get_plan_mode,
-    plan_mode,
     record_planner_event,
     rule_plan,
-    set_plan_mode,
 )
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Variable
@@ -37,35 +35,10 @@ def skewed_db():
 
 
 @pytest.fixture(autouse=True)
-def _legacy_guard():
+def _drain_events():
     drain_planner_events()
     yield
-    set_plan_mode("legacy")
     drain_planner_events()
-
-
-class TestModeSwitch:
-    def test_default_is_legacy(self):
-        assert get_plan_mode() == "legacy"
-
-    def test_set_and_reset(self):
-        set_plan_mode("cost")
-        assert get_plan_mode() == "cost"
-        set_plan_mode("legacy")
-        assert get_plan_mode() == "legacy"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown plan mode"):
-            set_plan_mode("oracle")
-
-    def test_context_manager_restores_on_exit_and_error(self):
-        with plan_mode("cost"):
-            assert get_plan_mode() == "cost"
-        assert get_plan_mode() == "legacy"
-        with pytest.raises(RuntimeError):
-            with plan_mode("cost"):
-                raise RuntimeError("boom")
-        assert get_plan_mode() == "legacy"
 
 
 class TestCostOrdering:
@@ -79,7 +52,7 @@ class TestCostOrdering:
 
     def test_cost_mode_starts_from_the_selective_scan(self):
         database = skewed_db()
-        with plan_mode("cost"):
+        with configured(plan="cost"):
             plan = body_plan(self.BODY, database=database)
         assert plan.scan_literals[0] == lit("filt", "Y")
         assert plan.estimates is not None
@@ -90,7 +63,7 @@ class TestCostOrdering:
     def test_cost_and_legacy_answers_agree(self):
         database = skewed_db()
         legacy = body_plan(self.BODY)
-        with plan_mode("cost"):
+        with configured(plan="cost"):
             cost = body_plan(self.BODY, database=database)
         assert cost is not legacy
 
@@ -103,20 +76,20 @@ class TestCostOrdering:
 
     def test_cost_mode_without_database_is_byte_for_byte_legacy(self):
         legacy = body_plan(self.BODY)
-        with plan_mode("cost"):
+        with configured(plan="cost"):
             assert body_plan(self.BODY) is legacy
 
     def test_cache_isolated_between_modes(self):
         database = skewed_db()
         legacy = body_plan(self.BODY)
-        with plan_mode("cost"):
+        with configured(plan="cost"):
             cost = body_plan(self.BODY, database=database)
             assert body_plan(self.BODY, database=database) is cost
         assert body_plan(self.BODY) is legacy
 
     def test_same_magnitude_growth_reuses_the_cost_plan(self):
         database = skewed_db()
-        with plan_mode("cost"):
+        with configured(plan="cost"):
             first = body_plan(self.BODY, database=database)
             database.add_fact("big", ("extra", "y0"))  # 40 -> 41 rows
             assert body_plan(self.BODY, database=database) is first
@@ -127,7 +100,7 @@ class TestCostOrdering:
         body = [lit("e", f"V{i}", f"V{i + 1}") for i in range(10)]
         body.reverse()
         database = Database.from_dict({"e": [(i, i + 1) for i in range(30)]})
-        with plan_mode("cost"):
+        with configured(plan="cost"):
             plan = body_plan(
                 body, bound_vars=frozenset({Variable("V0")}), database=database
             )
@@ -173,7 +146,7 @@ class TestPlannerEvents:
         database = Database.from_dict(
             {"e": [(i, i + 1) for i in range(60)]}
         )
-        with plan_mode("cost"):
+        with configured(plan="cost"):
             result = evaluate_seminaive(program, database.copy())
             events = drain_planner_events()
         assert any(event.code == "DL601" for event in events)
@@ -190,7 +163,7 @@ class TestRulePlanEstimates:
             [lit("big", "X", "Y"), lit("small", "Y", "Z")],
         )
         assert rule_plan(rule).estimates is None
-        with plan_mode("cost"):
+        with configured(plan="cost"):
             plan = rule_plan(rule, database=database)
         assert plan.estimates is not None
         assert len(plan.estimates) == 2

@@ -2,9 +2,8 @@
 
 Every trigger asserts the stable code AND the exact ``line:column`` span;
 every near-miss asserts the same check stays silent on the closest clean
-variant.  A differential test then pins that a warning-only program
-evaluates identically with diagnostics on and off, across engines and
-sessions.
+variant.  A last test pins that a stratification cycle raises when the
+session is built, not mid-answer.
 """
 
 import pytest
@@ -18,7 +17,6 @@ from repro.datalog.diagnostics import (
     lint_program,
     lint_rules,
     lint_source,
-    set_eager_validation,
 )
 from repro.datalog.errors import (
     DatalogSyntaxError,
@@ -27,7 +25,6 @@ from repro.datalog.errors import (
     UnsafeRuleError,
 )
 from repro.datalog.parser import parse_program, parse_query, parse_rules
-from repro.engines import run_engine
 from repro.session import QuerySession
 
 
@@ -374,47 +371,8 @@ class TestCheckProgram:
         assert "DL401" in codes(check_program(program))
 
 
-WARNING_ONLY = """
-p(X) :- q(X, Unused).
-p(X) :- q(X, _).
-q(1, 2).
-q(2, 3).
-q(3, 4).
-"""
-
-
 class TestDiagnosticsDifferential:
-    """A warning-only program evaluates identically with diagnostics on/off."""
-
-    @pytest.mark.parametrize("engine", ["naive", "seminaive", "magic", "topdown"])
-    def test_engines_unaffected_by_eager_validation(self, engine):
-        program = parse_program(WARNING_ONLY)
-        query = parse_query("p(X)")
-        with_checks = run_engine(engine, program, query).answers
-        previous = set_eager_validation(False)
-        try:
-            without_checks = run_engine(engine, program, query).answers
-        finally:
-            set_eager_validation(previous)
-        assert with_checks == without_checks == {(1,), (2,), (3,)}
-
-    def test_sessions_unaffected_by_validation_flag(self):
-        checked = QuerySession(parse_program(WARNING_ONLY))
-        unchecked = QuerySession(parse_program(WARNING_ONLY), validate=False)
-        assert {d.code for d in checked.diagnostics} >= {"DL403"}
-        assert unchecked.diagnostics == []
-        assert (
-            checked.query("p(X)").answers
-            == unchecked.query("p(X)").answers
-            == {(1,), (2,), (3,)}
-        )
-
     def test_stratified_program_raises_eagerly_not_mid_answer(self):
         program = parse_program("win(X) :- move(X, Y), not win(Y).\n")
         with pytest.raises(StratificationError):
             QuerySession(program)
-        # validate=False restores the lazy behaviour: the error surfaces
-        # from the engine instead, with the same type.
-        session = QuerySession(program, validate=False)
-        with pytest.raises(StratificationError):
-            session.query("win(X)")

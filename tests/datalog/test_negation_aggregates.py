@@ -4,6 +4,7 @@ both execution modes, aggregate folds, and the stratified reference model."""
 
 import pytest
 
+from repro.config import configured
 from repro.datalog.database import Database
 from repro.datalog.errors import (
     DatalogSyntaxError,
@@ -13,7 +14,7 @@ from repro.datalog.errors import (
 )
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_literal, parse_program, parse_rules
-from repro.datalog.plans import aggregate_plan, execution_mode, rule_plan
+from repro.datalog.plans import aggregate_plan, rule_plan
 from repro.datalog.rules import Rule
 from repro.datalog.semantics import answer_query, least_model, stratified_model
 from repro.datalog.terms import AggregateTerm, Constant, Variable
@@ -122,7 +123,7 @@ class TestNegationPlans:
         generator entry point in ``mode``, or as one columnar batch."""
         if mode == "batch":
             return set(rule_plan(rule).head_batch(database))
-        with execution_mode(mode):
+        with configured(execution=mode):
             return set(rule_plan(rule).heads(database))
 
     @pytest.mark.parametrize("mode", ["interpreted", "columnar", "batch"])
@@ -167,7 +168,7 @@ class TestAggregateFolds:
     def test_folds_group_by_plain_head_terms(self, mode):
         (rule,) = parse_rules("best(X, min(N), max(N)) :- d(X, N).")
         database = Database.from_dict({"d": [(1, 5), (1, 2), (2, 7), (2, 7)]})
-        with execution_mode(mode):
+        with configured(execution=mode):
             rows = set(aggregate_plan(rule).heads(database))
         assert rows == {(1, 2, 5), (2, 7, 7)}
 

@@ -56,6 +56,31 @@ class TestLiteralParsing:
             parse_literal("p(X) q(Y)")
 
 
+class TestAtomComparisonOperands:
+    """A comparison whose operand is an atom is a spanned syntax error,
+    never a silently dropped comparison."""
+
+    @pytest.mark.parametrize(
+        "parse,text,span",
+        [
+            (parse_program, "r(X) :- a(X), X < q(Y).", (1, 19, 1, 23)),
+            (parse_literal, "X < q(Y)", (1, 5, 1, 9)),
+            (parse_program, "r(X) :- a(X), p(X) < 3.", (1, 15, 1, 19)),
+        ],
+        ids=["right-operand", "query", "left-operand"],
+    )
+    def test_atom_operand_rejected(self, parse, text, span):
+        with pytest.raises(DatalogSyntaxError, match="is an atom, not a term") as info:
+            parse(text)
+        error_span = info.value.span
+        assert (
+            error_span.line,
+            error_span.column,
+            error_span.end_line,
+            error_span.end_column,
+        ) == span
+
+
 class TestProgramParsing:
     SG = """
         % the same-generation program

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import configured
 from repro.datalog.database import Database
 from repro.datalog.errors import EvaluationError
 from repro.datalog.literals import Literal
@@ -12,10 +13,7 @@ from repro.datalog.plans import (
     compile_plan,
     delta_plan,
     delta_plans,
-    execution_mode,
-    get_execution_mode,
     rule_plan,
-    set_execution_mode,
 )
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Variable
@@ -169,24 +167,12 @@ class TestCacheAndModes:
         compiled = {
             frozenset(s.items()) for s in body_plan(tuple(body)).substitutions(database)
         }
-        with execution_mode("interpreted"):
+        with configured(execution="interpreted"):
             interpreted = {
                 frozenset(s.items())
                 for s in body_plan(tuple(body)).substitutions(database)
             }
         assert compiled == interpreted
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            set_execution_mode("quantum")
-
-    def test_default_mode_is_columnar(self):
-        assert get_execution_mode() == "columnar"
-
-    def test_compiled_mode_is_gone(self):
-        with pytest.raises(ValueError, match="unknown execution mode"):
-            set_execution_mode("compiled")
-        assert get_execution_mode() == "columnar"
 
 
 class TestRepeatedVariablesAndSources:

@@ -1,4 +1,4 @@
-"""The semantics-preserving program optimizer behind ``set_program_opt``.
+"""The semantics-preserving program optimizer behind ``configured(optimize=True)``.
 
 Unit tests pin each rewrite pass on hand-built programs; the differential
 matrix proves answer identity optimizer-on vs optimizer-off for every
@@ -10,23 +10,16 @@ import gc
 
 import pytest
 
+from repro.config import configured
 from repro.datalog import abstract, transform
 from repro.datalog.abstract import AbstractAnalysis
 from repro.datalog.database import Database
 from repro.datalog.errors import NotApplicableError
 from repro.datalog.parser import parse_literal, parse_program, parse_query
-from repro.datalog.plans import plan_mode
 from repro.datalog.semantics import answer_query
-from repro.datalog.transform import (
-    TransformReport,
-    get_program_opt,
-    optimize,
-    program_opt,
-    set_program_opt,
-)
+from repro.datalog.transform import TransformReport, optimize
 from repro.engines import available_engines, get_engine
 from repro.session import QuerySession
-from repro.storage.runtime import storage_mode
 
 
 FIXTURE = """
@@ -36,28 +29,6 @@ tc(X, Z) :- edge(X, Y), tc(Y, Z).
 dead(X) :- edge(X, Y), Y > 100.
 unused(X) :- tc(X, _).
 """
-
-
-class TestModeSwitch:
-    def test_default_is_off(self):
-        assert get_program_opt() == "off"
-
-    def test_round_trip(self):
-        set_program_opt("on")
-        try:
-            assert get_program_opt() == "on"
-        finally:
-            set_program_opt("off")
-        assert get_program_opt() == "off"
-
-    def test_context_manager_restores(self):
-        with program_opt("on"):
-            assert get_program_opt() == "on"
-        assert get_program_opt() == "off"
-
-    def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError):
-            set_program_opt("sideways")
 
 
 class TestPasses:
@@ -180,7 +151,7 @@ class TestEngineIntegration:
         query = parse_query("tc(1, X)")
         engine = get_engine("seminaive")
         baseline = engine.answer(program, query)
-        with program_opt("on"):
+        with configured(optimize=True):
             optimized = engine.answer(program, query)
         assert optimized.answers == baseline.answers
         report = optimized.details["program_opt"]
@@ -210,7 +181,7 @@ class TestMemoIdentity:
         assert {database.version for database in databases} == {2}
         expected = [answer_query(program, query, database) for database in databases]
         wrong = []
-        with program_opt("on"):
+        with configured(optimize=True):
             for _ in range(20):
                 for i, database in enumerate(databases):
                     answers = engine.answer(program, query, database).answers
@@ -295,12 +266,12 @@ class TestDifferentialMatrix:
         program = parse_program(program_text)
         query = parse_literal(query_text)
         engine = get_engine(engine_name)
-        with storage_mode(storage), plan_mode(plan), execution_cell(execution):
+        with configured(storage=storage, plan=plan), execution_cell(execution):
             try:
                 baseline = engine.answer(program, query)
             except NotApplicableError:
                 pytest.skip(f"{engine_name} not applicable to {query_text}")
-            with program_opt("on"):
+            with configured(optimize=True):
                 optimized = engine.answer(program, query)
         assert optimized.answers == baseline.answers, (
             engine_name,
@@ -315,7 +286,7 @@ class TestExplainGolden:
         session = QuerySession(parse_program(FIXTURE))
         baseline = session.explain("tc(1, X)")
         assert "program optimizer" not in baseline
-        with program_opt("on"):
+        with configured(optimize=True):
             text = session.explain("tc(1, X)")
         # The golden acceptance line: query-directed slicing shrank the
         # program (7 rules incl. facts -> 5) and the report says why.
@@ -330,6 +301,6 @@ class TestExplainGolden:
     def test_session_query_unaffected_by_optimizer(self):
         session = QuerySession(parse_program(FIXTURE))
         baseline = session.query("tc(1, X)")
-        with program_opt("on"):
+        with configured(optimize=True):
             optimized = QuerySession(parse_program(FIXTURE)).query("tc(1, X)")
         assert optimized.answers == baseline.answers

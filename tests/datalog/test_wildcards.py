@@ -9,13 +9,13 @@ modes.  Each ``_`` now parses to a fresh anonymous variable.
 
 import pytest
 
+from repro.config import configured
 from repro.datalog.database import Database
 from repro.datalog.errors import UnsafeRuleError
 from repro.datalog.parser import parse_literal, parse_program, parse_rules
 from repro.datalog.semantics import answer_query, least_model, stratified_model
 from repro.datalog.terms import Variable
 from repro.engines import available_engines, get_engine
-from repro.storage import storage_mode
 
 ALL_ENGINES = sorted(available_engines())
 
@@ -88,7 +88,7 @@ def test_wildcard_projection_regression_in_every_engine(engine_name):
 def test_wildcard_projection_in_both_modes(storage, plan_mode, execution_cell):
     program = parse_program("p(X) :- q(X, _, _).")
     database = Database.from_dict({"q": [("a", 1, 2), ("c", 7, 7)]})
-    with storage_mode(storage), execution_cell(plan_mode):
+    with configured(storage=storage), execution_cell(plan_mode):
         assert answer_query(program, parse_literal("p(X)"), database) == {
             ("a",),
             ("c",),
@@ -113,7 +113,7 @@ class TestNegatedWildcards:
         query = parse_literal("s(X)")
         for engine_name in ("naive", "seminaive"):
             database = Database.from_dict(self.FACTS)
-            with storage_mode(storage), execution_cell(plan_mode):
+            with configured(storage=storage), execution_cell(plan_mode):
                 result = get_engine(engine_name).answer(program, query, database)
             assert result.answers == self.expected(), (
                 f"{engine_name} ({storage}/{plan_mode})"

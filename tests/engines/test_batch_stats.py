@@ -1,6 +1,6 @@
 """Per-plan-node batch telemetry exposed through ``EngineResult.batch_stats``."""
 
-from repro.datalog.plans import execution_mode
+from repro.config import configured
 from repro.engines import run_engine
 from repro.instrumentation import Counters
 from repro.workloads import binary_tree, chain
@@ -30,7 +30,7 @@ class TestBatchStats:
             assert "tc[" in key
 
     def test_interpreted_mode_reports_no_batches(self):
-        with execution_mode("interpreted"):
+        with configured(execution="interpreted"):
             result, _ = _run(chain(12))
         stats = result.batch_stats
         assert stats.batches == 0
@@ -56,7 +56,7 @@ class TestBatchStats:
 
     def test_batch_stats_stay_out_of_the_work_counter_model(self):
         _, columnar_counters = _run(chain(12))
-        with execution_mode("interpreted"):
+        with configured(execution="interpreted"):
             _, interpreted_counters = _run(chain(12))
         assert columnar_counters.as_dict() == interpreted_counters.as_dict()
         assert "batch" not in columnar_counters.as_dict()

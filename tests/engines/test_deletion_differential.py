@@ -16,12 +16,12 @@ engine is exact the least-model cross-check is applied too.
 
 import pytest
 
+from repro.config import configured
 from repro.datalog.database import Database, Delta
 from repro.datalog.errors import NotApplicableError
 from repro.datalog.parser import parse_literal, parse_program
 from repro.datalog.semantics import answer_query
 from repro.engines import available_engines, get_engine
-from repro.storage import storage_mode
 from repro.workloads import (
     chain,
     random_dag,
@@ -157,7 +157,7 @@ def test_delete_resume_under_modes(
         pytest.skip(f"{engine_name} not applicable to {workload_name}")
     deletes = _retraction_slice(full_db)
     reduced_db = _reduced(full_db, deletes)
-    with storage_mode(storage), execution_cell(plan_mode):
+    with configured(storage=storage), execution_cell(plan_mode):
         try:
             materialization = engine.materialize(program, full_db)
             materialization.answer(query)

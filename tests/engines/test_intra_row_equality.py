@@ -11,12 +11,12 @@ of the storage x execution matrix and match the naive reference.
 
 import pytest
 
+from repro.config import configured
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_literal, parse_program
 from repro.datalog.semantics import answer_query
 from repro.engines import run_engine
 from repro.instrumentation import Counters
-from repro.storage import storage_mode
 
 #: One fixed EDB.  ``g`` and ``h`` mix rows whose repeated positions agree
 #: with rows whose positions differ, so a probe that skipped the filter
@@ -75,7 +75,7 @@ def _run(name, storage, execution, execution_cell):
     query = parse_literal(query_text)
     counters = Counters()
     database = Database.from_dict(EDB, counters=counters)
-    with storage_mode(storage), execution_cell(execution):
+    with configured(storage=storage), execution_cell(execution):
         result = run_engine("seminaive", program, query, database, counters)
     return result, counters
 

@@ -21,13 +21,12 @@ from multiprocessing.context import ForkProcess
 
 import pytest
 
+from repro.config import configured
 from repro.datalog.database import Database, Delta
 from repro.datalog.parser import parse_literal, parse_program
-from repro.datalog.plans import execution_mode
 from repro.engines import available_engines, get_engine
 from repro.engines import runtime as _runtime
-from repro.parallel import fork_available, parallelism, set_parallelism
-from repro.storage import storage_mode
+from repro.parallel import fork_available
 from repro.workloads import chain, random_dag, sample_a, sample_cyclic
 
 
@@ -64,30 +63,23 @@ WORKLOADS = {
 RUNTIME_ENGINES = ["naive", "seminaive", "graph"]
 
 
-@pytest.fixture(autouse=True)
-def _sequential_after_each_test():
-    previous = parallelism()
-    yield
-    set_parallelism(previous)
-
-
 @pytest.fixture
 def force_sharding(monkeypatch):
     """Offload every eligible component, whatever its seed delta size."""
     monkeypatch.setattr(_runtime, "_SHARD_MIN_ROWS", 1)
 
 
-def _run(engine_name, workload_name, storage, plan_mode, workers, cell=execution_mode):
+def _execution(mode):
+    return configured(execution=mode)
+
+
+def _run(engine_name, workload_name, storage, plan_mode, workers, cell=_execution):
     program, database, query = WORKLOADS[workload_name]()
     engine = get_engine(engine_name)
     if not engine.applicable(program, query):
         pytest.skip(f"{engine_name} rejects this workload by contract")
-    set_parallelism(workers)
-    try:
-        with storage_mode(storage), cell(plan_mode):
-            result = engine.answer(program, query, database.copy())
-    finally:
-        set_parallelism(1)
+    with configured(parallelism=workers, storage=storage), cell(plan_mode):
+        result = engine.answer(program, query, database.copy())
     return result.answers, result.counters
 
 
@@ -148,8 +140,7 @@ def test_forced_sharding_actually_shards(force_sharding):
     one task per worker, one merge.
     """
     program, database, query = WORKLOADS["multi-component"]()
-    set_parallelism(4)
-    with storage_mode("kernel"), execution_mode("columnar"):
+    with configured(parallelism=4, storage="kernel", execution="columnar"):
         result = get_engine("seminaive").answer(program, query, database.copy())
     assert result.batch_stats.shards == 3 * 4
     assert result.batch_stats.merge_seconds > 0.0
@@ -179,11 +170,11 @@ def test_independent_closures_each_offload(force_sharding):
     engine = get_engine("seminaive")
     workers = 2
 
-    with storage_mode("kernel"), execution_mode("columnar"):
-        set_parallelism(1)
-        sequential = engine.answer(program, query, database.copy())
-        set_parallelism(workers)
-        parallel = engine.answer(program, query, database.copy())
+    with configured(storage="kernel", execution="columnar"):
+        with configured(parallelism=1):
+            sequential = engine.answer(program, query, database.copy())
+        with configured(parallelism=workers):
+            parallel = engine.answer(program, query, database.copy())
     assert sequential.answers  # the join is not vacuous
     assert parallel.batch_stats.shards == 2 * workers
     assert parallel.answers == sequential.answers
@@ -206,8 +197,7 @@ def test_fork_failure_falls_back_to_sequential(force_sharding, monkeypatch):
         database.add_fact("edge", (i, i + 1))
     query = parse_literal("path(X, Y)")
     engine = get_engine("seminaive")
-    set_parallelism(1)
-    with execution_mode("columnar"):
+    with configured(parallelism=1, execution="columnar"):
         sequential = engine.answer(program, query, database.copy())
 
     real_start = ForkProcess.start
@@ -220,8 +210,7 @@ def test_fork_failure_falls_back_to_sequential(force_sharding, monkeypatch):
         real_start(process)
 
     monkeypatch.setattr(ForkProcess, "start", flaky_start)
-    set_parallelism(2)
-    with execution_mode("columnar"):
+    with configured(parallelism=2, execution="columnar"):
         parallel = engine.answer(program, query, database.copy())
     assert len(starts) == 2  # the offload really tried to fork
     assert parallel.batch_stats.shards == 0
@@ -249,10 +238,10 @@ def test_fixpoint_offload_runs_whole_loop_on_pool(force_sharding):
     query = parse_literal("path(X, Y)")
     engine = get_engine("seminaive")
 
-    with execution_mode("columnar"):
+    with configured(execution="columnar"):
         sequential = engine.answer(program, query, database.copy())
-        set_parallelism(4)
-        parallel = engine.answer(program, query, database.copy())
+        with configured(parallelism=4):
+            parallel = engine.answer(program, query, database.copy())
     assert sequential.counters.iterations > 2  # a genuinely multi-round loop
     assert parallel.batch_stats.shards == 4
     assert parallel.answers == sequential.answers
@@ -277,10 +266,10 @@ def test_fixpoint_offload_ships_unseen_head_constant_by_value(force_sharding):
     query = parse_literal("mark(X, Y, T)")
     engine = get_engine("seminaive")
 
-    with execution_mode("columnar"):
+    with configured(execution="columnar"):
         sequential = engine.answer(program, query, database.copy())
-        set_parallelism(4)
-        parallel = engine.answer(program, query, database.copy())
+        with configured(parallelism=4):
+            parallel = engine.answer(program, query, database.copy())
     assert any(row[2] == "hop" for row in sequential.answers)
     assert parallel.answers == sequential.answers
     assert parallel.counters == sequential.counters
@@ -296,20 +285,18 @@ def test_resume_and_dred_under_parallelism(workers):
     base_db = Database()
     base_db.add_facts("edge", rows[:-3])
 
-    set_parallelism(workers)
     engine = get_engine("seminaive")
-    with execution_mode("columnar"):
+    with configured(parallelism=workers, execution="columnar"):
         materialization = engine.materialize(program, base_db.copy())
         engine.resume(materialization, {"edge": rows[-3:]})
         engine.resume(
             materialization, Delta(deletes={"edge": rows[:2]})
         )
         resumed = materialization.answer(query)
-    set_parallelism(1)
 
     final_db = Database()
     final_db.add_facts("edge", rows[2:])
-    with execution_mode("columnar"):
+    with configured(execution="columnar"):
         scratch = engine.answer(program, query, final_db)
     assert resumed.answers == scratch.answers
 
@@ -319,17 +306,13 @@ def _evaluation_sequence(monkeypatch, workers, force_shards=False):
     on one database object, so cached probe state must invalidate."""
     program, database, query = _multi_component_workload()
     engine = get_engine("seminaive")
-    set_parallelism(workers)
     with monkeypatch.context() as patch:
         patch.setattr(_runtime, "_SHARD_MIN_ROWS", 1 if force_shards else 1 << 30)
-        try:
-            with storage_mode("kernel"), execution_mode("columnar"):
-                first = engine.answer(program, query, database)
-                database.reset_instrumentation()
-                database.add_fact("edge_a", (18, 0))
-                second = engine.answer(program, query, database)
-        finally:
-            set_parallelism(1)
+        with configured(parallelism=workers, storage="kernel", execution="columnar"):
+            first = engine.answer(program, query, database)
+            database.reset_instrumentation()
+            database.add_fact("edge_a", (18, 0))
+            second = engine.answer(program, query, database)
     return first.answers, second.answers, second.counters
 
 
@@ -350,16 +333,3 @@ def test_probe_memo_never_stale_after_reset(force_shards, monkeypatch):
     assert par_first == seq_first
     assert par_second == seq_second
     assert par_counters == seq_counters
-
-
-def test_set_parallelism_validates_and_returns_previous():
-    # The starting value depends on REPRO_PARALLELISM (the CI matrix runs
-    # this suite under 2), so capture it instead of assuming the default.
-    initial = parallelism()
-    assert set_parallelism(3) == initial
-    assert parallelism() == 3
-    assert set_parallelism(initial) == 3
-    with pytest.raises(ValueError):
-        set_parallelism(0)
-    with pytest.raises(ValueError):
-        set_parallelism("two")

@@ -6,13 +6,13 @@ non-monotone session resume path against from-scratch recomputation."""
 
 import pytest
 
+from repro.config import configured
 from repro.datalog.analysis import Stratification
 from repro.datalog.database import Database
 from repro.datalog.errors import StratificationError
 from repro.datalog.semantics import answer_against_relation, stratified_model
 from repro.engines import available_engines, get_engine
 from repro.session import QuerySession
-from repro.storage import storage_mode
 from repro.workloads import (
     non_reachability,
     shortest_paths,
@@ -55,7 +55,7 @@ def test_engines_match_the_stratified_reference(
         )
         pytest.skip(f"{engine_name} rejects stratified programs by contract")
     expected = _reference(program, database, query)
-    with storage_mode(storage), execution_cell(plan_mode):
+    with configured(storage=storage), execution_cell(plan_mode):
         result = engine.answer(program, query, database.copy())
     assert result.answers == expected, (
         f"{engine_name} diverges from the stratified reference on "

@@ -1,10 +1,10 @@
 """The repo invariant checker (``tools/check_invariants.py``).
 
 Pins three things: the real source tree is clean, a synthetic violation of
-each rule (storage encapsulation, no threads, no ``id()``, the storage mode
-stays in the storage layer) is flagged with an exact ``line:column``, and
-the ``self``/storage-package exemptions hold so the checker never cries
-wolf.
+each rule (storage encapsulation, no threads, no ``id()``, the storage
+setting stays in the storage layer, no ``global`` statements) is flagged
+with an exact ``line:column``, and the ``self``/storage-package exemptions
+hold so the checker never cries wolf.
 """
 
 import subprocess
@@ -128,16 +128,17 @@ class TestStorageModeStaysInStorage:
         source = engines / "runtime.py"
         source.write_text(
             "from ..storage import runtime as _storage_runtime\n"
-            "from ..storage.runtime import MODE_KERNEL\n"
-            "from repro.storage import global_interner, get_storage_mode\n"
+            "from ..storage.runtime import get_storage_mode\n"
+            "from ..config import current_config\n"
             "import repro.storage.runtime\n"
+            "kernel = current_config().storage == 'kernel'\n"
         )
         violations = check_invariants.check_file(source)
         assert [(line, column) for line, column, _ in violations] == [
             (1, 1),
             (2, 1),
-            (3, 1),
             (4, 1),
+            (5, 10),
         ]
         assert all("Database.scan" in message for _, _, message in violations)
 
@@ -145,14 +146,49 @@ class TestStorageModeStaysInStorage:
         root = tmp_path / "src" / "repro"
         (root / "datalog").mkdir(parents=True)
         (root / "storage").mkdir()
-        mode_import = "from ..storage import runtime as _storage_runtime\n"
-        (root / "datalog" / "database.py").write_text(mode_import)
-        (root / "storage" / "__init__.py").write_text("from .runtime import MODE_KERNEL\n")
+        mode_read = (
+            "from ..config import current_config\n"
+            "kernel = current_config().storage == 'kernel'\n"
+        )
+        (root / "datalog" / "database.py").write_text(mode_read)
+        (root / "storage" / "runtime.py").write_text(mode_read)
         (root / "datalog" / "plans.py").write_text(
+            "from ..config import current_config\n"
             "from ..storage.columns import build_probe\n"
             "from ..storage import global_interner\n"
+            "interpreted = current_config().execution == 'interpreted'\n"
         )
         assert check_invariants.check_tree([tmp_path / "src"]) == 0
+
+
+class TestNoGlobals:
+    def test_flags_global_statement(self, tmp_path):
+        source = tmp_path / "switch.py"
+        source.write_text(
+            "_mode = 'columnar'\n"
+            "def set_mode(mode):\n"
+            "    global _mode\n"
+            "    _mode = mode\n"
+        )
+        violations = check_invariants.check_file(source)
+        assert len(violations) == 1
+        line, column, message = violations[0]
+        assert (line, column) == (3, 5)
+        assert "`global`" in message and "configured()" in message
+
+    def test_constants_and_nonlocal_are_clean(self, tmp_path):
+        source = tmp_path / "counter.py"
+        source.write_text(
+            "_LIMIT = 8\n"
+            "def counter():\n"
+            "    count = 0\n"
+            "    def bump():\n"
+            "        nonlocal count\n"
+            "        count += 1\n"
+            "        return min(count, _LIMIT)\n"
+            "    return bump\n"
+        )
+        assert check_invariants.check_file(source) == []
 
 
 class TestRepoTree:

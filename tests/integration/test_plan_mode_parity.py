@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import configured
 from repro.datalog.database import Database
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_program
-from repro.datalog.plans import drain_planner_events, plan_mode
+from repro.datalog.plans import drain_planner_events
 from repro.datalog.semantics import answer_query
 from repro.engines import run_engine
 from repro.instrumentation import Counters
@@ -66,7 +67,7 @@ def _answers(engine, program, query, database, cell, exec_mode, planning):
     counters = Counters()
     fresh = database.copy()
     fresh.reset_instrumentation(counters)
-    with plan_mode(planning), cell(exec_mode):
+    with configured(plan=planning), cell(exec_mode):
         result = run_engine(engine, program, query, fresh, counters)
     drain_planner_events()  # don't leak adaptive-replan events process-wide
     return result.answers

@@ -12,10 +12,11 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.config import configured
 from repro.datalog.errors import NotApplicableError
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_program
-from repro.datalog.transform import optimize, program_opt
+from repro.datalog.transform import optimize
 from repro.engines import available_engines, get_engine
 
 CONSTANTS = list(range(4))
@@ -84,7 +85,7 @@ class TestOptimizerDifferential:
             baseline = engine.answer(program, query)
         except NotApplicableError:
             assume(False)
-        with program_opt("on"):
+        with configured(optimize=True):
             optimized = engine.answer(program, query)
         assert optimized.answers == baseline.answers, (
             engine_name,

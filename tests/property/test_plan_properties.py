@@ -12,9 +12,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import configured
 from repro.datalog.database import Database
 from repro.datalog.literals import Literal
-from repro.datalog.plans import compile_plan, execution_mode
+from repro.datalog.plans import compile_plan
 from repro.datalog.terms import Variable
 
 BASE_PREDICATES = ["e", "f", "g"]
@@ -86,7 +87,7 @@ class TestOrderInsensitivity:
         database = random_database(data_seed)
         plan = compile_plan(body)
         compiled = answer_set(plan, database)
-        with execution_mode("interpreted"):
+        with configured(execution="interpreted"):
             interpreted = answer_set(plan, database)
         assert compiled == interpreted
 

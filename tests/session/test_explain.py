@@ -7,14 +7,10 @@ To refresh after an intentional planner change, run with
 import os
 from pathlib import Path
 
+from repro.config import configured
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_program
-from repro.datalog.plans import (
-    drain_planner_events,
-    execution_mode,
-    plan_mode,
-    rule_plan,
-)
+from repro.datalog.plans import drain_planner_events, rule_plan
 from repro.instrumentation import Counters
 from repro.session import QuerySession
 
@@ -57,7 +53,7 @@ class TestExplainGolden:
         check_golden("explain_sg_legacy.txt", sg_session().explain("sg(a, Y)"))
 
     def test_cost_transcript(self):
-        with plan_mode("cost"):
+        with configured(plan="cost"):
             check_golden("explain_sg_cost.txt", sg_session().explain("sg(a, Y)"))
 
 
@@ -71,7 +67,7 @@ class TestExplainActuals:
         database = Database.from_dict({"e": [(i, i + 1) for i in range(10)]})
         counters = Counters()
         database.reset_instrumentation(counters)
-        with execution_mode("columnar"):
+        with configured(execution="columnar"):
             evaluate_seminaive(program, database, counters)
         rule = program.idb_rules()[1]
         report = rule_plan(rule).explain(counters)

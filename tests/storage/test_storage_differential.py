@@ -20,12 +20,11 @@ set, and the audit of the remaining accessors for leaked internals.
 
 import pytest
 
+from repro.config import configured
 from repro.datalog.database import Database, Relation
-from repro.datalog.plans import execution_mode
 from repro.datalog.semantics import answer_query
 from repro.engines import get_engine, run_engine
 from repro.instrumentation import Counters
-from repro.storage import storage_mode
 from repro.workloads import (
     binary_tree,
     chain,
@@ -75,7 +74,7 @@ def _measure(engine, workload, mode, execution="columnar"):
     counters = Counters()
     fresh = database.copy()
     fresh.reset_instrumentation(counters)
-    with storage_mode(mode), execution_mode(execution):
+    with configured(storage=mode, execution=execution):
         result = run_engine(engine, program, query, fresh, counters)
     return result.answers, counters.as_dict()
 
@@ -115,7 +114,7 @@ class TestImageDifferential:
     def _image(self, values, inverted, mode):
         counters = Counters()
         database = Database.from_dict(self.DB, counters=counters)
-        with storage_mode(mode):
+        with configured(storage=mode):
             result = database.image("up", values, inverted=inverted)
             again = database.image("up", values, inverted=inverted)
         assert result == again  # repeat retrieval is stable
@@ -222,7 +221,7 @@ class TestQueryPinsUnderModes:
             program, database, query = sample_c(8)
             counters = Counters()
             database.reset_instrumentation(counters)
-            with storage_mode(mode):
+            with configured(storage=mode):
                 answers = run_engine(engine, program, query, database, counters).answers
             results[mode] = (answers, counters.as_dict())
         assert results["kernel"] == results["reference"]

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Repo invariant checker: storage encapsulation, no threads, no ``id()``,
-the storage mode stays in the storage layer.
+the storage setting stays in the storage layer, no ``global`` statements.
 
-Four rules, checked over the source tree's ASTs:
+Five rules, checked over the source tree's ASTs:
 
 * **Storage internals stay inside ``repro.storage``.**  The
   :class:`repro.storage.table.IntTable` row map, subset indexes, lag
@@ -29,15 +29,20 @@ Four rules, checked over the source tree's ASTs:
   per call, so a later call can land on an earlier one's address.  Hold
   the object itself, a ``weakref`` to it, or a key that names it (an
   index, a name).
-* **The storage mode stays in the storage layer.**  The ``reference``
-  storage mode switches :meth:`Database.scan
+* **The storage setting stays in the storage layer.**  The ``reference``
+  storage setting switches :meth:`Database.scan
   <repro.datalog.database.Database.scan>` and ``Database.image`` to their
   memo-free loops and nothing else, so under ``src/repro`` only the storage
-  package and ``datalog/database.py`` may import ``repro.storage.runtime``
-  (absolute or relative) or import ``storage_mode``, ``set_storage_mode``,
-  ``get_storage_mode``, ``MODE_KERNEL`` or ``MODE_REFERENCE`` from
-  ``repro.storage``.  An executor that forked on the mode would keep a
-  second code path the differential suites must cover twice.
+  package and ``datalog/database.py`` may read an attribute named
+  ``storage`` (the :class:`repro.config.EvalConfig` field) or import
+  ``repro.storage.runtime`` (absolute or relative).  An executor that
+  forked on the setting would keep a second code path the differential
+  suites must cover twice.
+* **No ``global`` statements.**  Evaluation settings live in one
+  :class:`repro.config.EvalConfig` per thread, read with
+  ``current_config()`` and changed with ``configured()``; a module global
+  rebound at run time is shared by every thread and every session in the
+  process, so a ``global`` statement is rejected anywhere.
 
 Usage::
 
@@ -69,13 +74,10 @@ BANNED_ATTRIBUTES = frozenset(
 #: The package that owns the representation and may touch it freely.
 ALLOWED_PREFIX = ("src", "repro", "storage")
 
-#: The storage-mode switch module and the names ``repro.storage`` re-exports
-#: from it.
+#: The storage-setting module and the ``EvalConfig`` field it reads.
 MODE_MODULE = "repro.storage.runtime"
-MODE_NAMES = frozenset(
-    {"storage_mode", "set_storage_mode", "get_storage_mode", "MODE_KERNEL", "MODE_REFERENCE"}
-)
-#: The layer the storage mode belongs to, below ``src/repro``.
+MODE_FIELD = "storage"
+#: The layer the storage setting belongs to, below ``src/repro``.
 MODE_OWNERS = (("storage",), ("datalog", "database.py"))
 
 
@@ -132,7 +134,9 @@ def _package(path: Path) -> Optional[List[str]]:
     return None
 
 
-def _imports_storage_mode(node: ast.AST, package: List[str]) -> bool:
+def _reads_storage_mode(node: ast.AST, package: List[str]) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr == MODE_FIELD
     if isinstance(node, ast.Import):
         return any(
             alias.name == MODE_MODULE or alias.name.startswith(MODE_MODULE + ".")
@@ -148,7 +152,7 @@ def _imports_storage_mode(node: ast.AST, package: List[str]) -> bool:
     if module == MODE_MODULE or module.startswith(MODE_MODULE + "."):
         return True
     return module == "repro.storage" and any(
-        alias.name == "runtime" or alias.name in MODE_NAMES for alias in node.names
+        alias.name == "runtime" for alias in node.names
     )
 
 
@@ -162,14 +166,24 @@ def check_file(path: Path) -> List[Tuple[int, int, str]]:
     package = _package(path)
     violations: List[Tuple[int, int, str]] = []
     for node in ast.walk(tree):
-        if package is not None and _imports_storage_mode(node, package):
+        if package is not None and _reads_storage_mode(node, package):
             violations.append(
                 (
                     node.lineno,
                     node.col_offset + 1,
-                    "storage-mode import outside the storage layer; the "
+                    "storage setting read outside the storage layer; the "
                     "`reference` mode switches only Database.scan and "
                     "Database.image",
+                )
+            )
+        elif isinstance(node, ast.Global):
+            violations.append(
+                (
+                    node.lineno,
+                    node.col_offset + 1,
+                    "`global` statement in repro; evaluation settings live in "
+                    "repro.config -- read current_config(), change them with "
+                    "configured()",
                 )
             )
         elif _is_thread(node):
