@@ -447,12 +447,9 @@ def _answer_bottom_up(
     program: Program, query: Literal, database: Database, counters: Counters
 ) -> QueryAnswer:
     model = least_model(program, database)
-    answers = answer_against_relation(model.rows(query.predicate), query)
-    counters.derived_tuples += sum(
-        len(model.rows(p)) for p in program.derived_predicates
-    )
+    counters.derived_tuples += sum(model.count(p) for p in program.derived_predicates)
     return QueryAnswer(
-        answers=answers,
+        answers=model.answers(query),
         strategy="bottom-up",
         counters=counters,
         details={"model_size": model.total_facts()},

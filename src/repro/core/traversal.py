@@ -199,10 +199,13 @@ class GraphTraversalEvaluator:
         automaton = self.hierarchy.m_of(predicate).copy()
         pending = self.hierarchy.derived_transitions(automaton)
         graph: Set[Node] = set()
+        # The values of the final-state nodes, collected as the traversal
+        # adds them, so neither the stall check nor the result scans the
+        # whole graph.
+        answers: Set[object] = set()
         start_nodes: Set[Node] = {(automaton.initial, bound_value)}
         iterations = 0
         terminated = True
-        final_state = automaton.final
         answers_seen = 0
         stalled_for = 0
 
@@ -214,18 +217,17 @@ class GraphTraversalEvaluator:
                 if node not in graph:
                     graph.add(node)
                     self.counters.nodes_generated += 1
-                    self._traverse(automaton, node, graph, continuation)
+                    self._traverse(automaton, node, graph, continuation, answers)
             start_nodes = set()
             if not continuation:
                 break
             if self.stall_limit is not None:
-                answers_now = sum(1 for (state, _) in graph if state == final_state)
-                if answers_now == answers_seen:
+                if len(answers) == answers_seen:
                     stalled_for += 1
                     if stalled_for >= self.stall_limit:
                         break
                 else:
-                    answers_seen = answers_now
+                    answers_seen = len(answers)
                     stalled_for = 0
             # Expand every transition on a derived predicate that has a
             # continuation point waiting at its source state.
@@ -249,7 +251,6 @@ class GraphTraversalEvaluator:
                     terminated = False
                 break
 
-        answers = {value for (state, value) in graph if state == automaton.final}
         if not terminated and self.on_iteration_limit == "raise":
             raise NonTerminationError(
                 f"evaluation of {predicate}({bound_value!r}, Y) exceeded "
@@ -273,16 +274,22 @@ class GraphTraversalEvaluator:
         start: Node,
         graph: Set[Node],
         continuation: Set[Node],
+        answers: Set[object],
     ) -> None:
         """Depth-first construction of the new nodes reachable from ``start``.
 
         Implemented with an explicit stack so that deep graphs do not hit the
-        Python recursion limit; the visit order is immaterial.
+        Python recursion limit; the visit order is immaterial.  Every node
+        passes through the stack once, so the value of each one at the
+        automaton's final state is added to ``answers`` there.
         """
         stack: List[Node] = [start]
         derived = self.hierarchy.derived_predicates
+        final = automaton.final
         while stack:
             state, value = stack.pop()
+            if state == final:
+                answers.add(value)
             for transition in automaton.outgoing(state):
                 label = transition.label
                 if label == ID:

@@ -22,6 +22,7 @@ every engine on every workload family.
 from __future__ import annotations
 
 from itertools import repeat as _repeat
+from operator import itemgetter
 from typing import (
     Collection,
     Dict,
@@ -40,7 +41,7 @@ from ..instrumentation import Counters
 from ..storage.table import FULL_SCAN, BucketToken, IntTable
 from .literals import Literal
 from .rules import Program, Rule
-from .terms import Constant, Variable
+from .terms import Constant
 
 Row = Tuple[object, ...]
 
@@ -56,6 +57,57 @@ def normalize_row(values: Iterable[object]) -> Row:
     accounting can never drift apart on wrapper handling.
     """
     return tuple(v.value if isinstance(v, Constant) else v for v in values)
+
+
+def decompose_query(
+    query: Literal,
+) -> Tuple[Dict[int, object], Tuple[Tuple[int, int], ...], Tuple[int, ...]]:
+    """Split ``query`` into ``(bindings, equalities, projection)``.
+
+    ``bindings`` maps each constant's position to its value, ``equalities``
+    pairs every repeated variable's later position with its first one, and
+    ``projection`` lists the first position of every distinct variable, in
+    order of first occurrence -- the positions an answer tuple is read from.
+    """
+    bindings: Dict[int, object] = {}
+    equalities: List[Tuple[int, int]] = []
+    projection: List[int] = []
+    first_of: Dict[object, int] = {}
+    for position, term in enumerate(query.args):
+        if isinstance(term, Constant):
+            bindings[position] = term.value
+        else:
+            first = first_of.setdefault(term, position)
+            if first == position:
+                projection.append(position)
+            else:
+                equalities.append((position, first))
+    return bindings, tuple(equalities), tuple(projection)
+
+
+def project_answers(
+    rows: Collection[Row],
+    bindings: Dict[int, object],
+    equalities: Sequence[Tuple[int, int]],
+    projection: Sequence[int],
+) -> Set[Row]:
+    """The answer tuples of the ``rows`` that match the query, as a new set.
+
+    See :func:`decompose_query` for the last three arguments; ``bindings``
+    is empty when ``rows`` already match the query's constants (an index
+    bucket).  A ground query (empty ``projection``) answers ``{()}`` when
+    some row matches.
+    """
+    for position, value in bindings.items():
+        rows = [row for row in rows if row[position] == value]
+    for position, first in equalities:
+        rows = [row for row in rows if row[position] == row[first]]
+    if not projection:
+        return {()} if rows else set()
+    if len(projection) == 1:
+        (position,) = projection
+        return {(row[position],) for row in rows}
+    return set(map(itemgetter(*projection), rows))
 
 
 class Delta:
@@ -511,6 +563,33 @@ class Database:
         relation = self.relations.get(predicate)
         return relation.table.row_set() if relation else frozenset()
 
+    def answers(self, query: Literal) -> Set[Row]:
+        """The answers to ``query`` over its stored relation, uncharged.
+
+        Equal to :func:`repro.datalog.semantics.answer_against_relation`
+        over :meth:`rows`, without the frozen copy of the whole relation: a
+        query of distinct variables only is one C-level set build over the
+        row view, and a query with constants projects only the subset-index
+        bucket of its bindings when the join plans have built that index.
+        It never builds one: an index built to be read once costs more than
+        one filtered pass over the row view, and every later write to the
+        relation would maintain it.  Like :meth:`rows` it charges nothing,
+        and every call returns a new set the caller owns.  A query whose
+        arity differs from the stored relation's, or whose relation is
+        absent, has no answers.
+        """
+        relation = self.relations.get(query.predicate)
+        if relation is None or relation.arity != len(query.args):
+            return set()
+        bindings, equalities, projection = decompose_query(query)
+        table = relation.table
+        if not bindings and not equalities:
+            return set(table.all_rows())
+        bucket = table.built_bucket(bindings) if bindings else None
+        if bucket is not None:
+            return project_answers(bucket, {}, equalities, projection)
+        return project_answers(table.all_rows(), bindings, equalities, projection)
+
     def contains(self, predicate: str, row: Row) -> bool:
         """Membership test, charged as a single retrieval."""
         relation = self.relations.get(predicate)
@@ -525,17 +604,8 @@ class Database:
         honoured (``p(X, X)`` only matches rows with equal components).
         Retrievals are charged to :attr:`counters` unless ``charge`` is false.
         """
-        bindings: Dict[int, object] = {}
-        first_position: Dict[Variable, int] = {}
-        intra_eq: List[Tuple[int, int]] = []
-        for position, term in enumerate(literal.args):
-            if isinstance(term, Constant):
-                bindings[position] = term.value
-            else:
-                first = first_position.setdefault(term, position)
-                if first != position:
-                    intra_eq.append((position, first))
-        return self.scan(literal.predicate, bindings, tuple(intra_eq), charge=charge)
+        bindings, intra_eq, _ = decompose_query(literal)
+        return self.scan(literal.predicate, bindings, intra_eq, charge=charge)
 
     def scan(
         self,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .database import Database, Row
+from .database import Database, Row, decompose_query, project_answers
 from .literals import Literal
 from .plans import rule_plan
 from .rules import Program, Rule
@@ -221,8 +221,7 @@ def answer_query(
     order of first occurrence.  For a ground query the result is either the
     empty set (false) or ``{()}`` (true).
     """
-    model = least_model(program, database)
-    return answer_against_relation(model.rows(query.predicate), query)
+    return least_model(program, database).answers(query)
 
 
 def answer_against_relation(
@@ -230,60 +229,20 @@ def answer_against_relation(
 ) -> Set[Tuple[object, ...]]:
     """Project the rows matching ``query`` onto its distinct variables.
 
-    Decomposes the query once into constant tests, repeated-variable
-    equality tests and a projection, instead of running the general
-    :func:`match_literal` unifier per row; a query of all-distinct
-    variables (the common "retrieve everything" shape) degenerates to a
-    set build over the row projections.
+    For row collections that are not stored relations (the top-down
+    engine's answer table, a list of matched rows) and as the reference the
+    tests hold :meth:`Database.answers <repro.datalog.database.Database
+    .answers>` to.  Rows of another arity are skipped.  The query is
+    decomposed once into constant tests, repeated-variable equality tests
+    and a projection (:func:`~repro.datalog.database.decompose_query`)
+    instead of running the general :func:`match_literal` unifier per row.
     """
-    consts: List[Tuple[int, object]] = []
-    eqs: List[Tuple[int, int]] = []
-    first_of: dict = {}
-    proj: List[int] = []
-    for position, term in enumerate(query.args):
-        if isinstance(term, Constant):
-            consts.append((position, term.value))
-        else:
-            first = first_of.setdefault(term, position)
-            if first == position:
-                proj.append(position)
-            else:
-                eqs.append((position, first))
+    bindings, equalities, projection = decompose_query(query)
     arity = len(query.args)
-    if not consts and not eqs:
-        if proj == list(range(arity)):
-            return {row for row in rows if len(row) == arity}
-        return {
-            tuple(row[position] for position in proj)
-            for row in rows
-            if len(row) == arity
-        }
-    if len(consts) == 1 and not eqs:
-        # One constant filter (the Fig-7 / reachability query shape): inline
-        # the test instead of running a genexpr pair per row.
-        (cpos, cval) = consts[0]
-        if len(proj) == 1:
-            ppos = proj[0]
-            return {
-                (row[ppos],)
-                for row in rows
-                if len(row) == arity and row[cpos] == cval
-            }
-        return {
-            tuple(row[position] for position in proj)
-            for row in rows
-            if len(row) == arity and row[cpos] == cval
-        }
-    answers: Set[Tuple[object, ...]] = set()
-    for row in rows:
-        if len(row) != arity:
-            continue
-        if any(row[position] != value for position, value in consts):
-            continue
-        if any(row[position] != row[first] for position, first in eqs):
-            continue
-        answers.add(tuple(row[position] for position in proj))
-    return answers
+    if not bindings and not equalities:
+        return {row for row in rows if len(row) == arity}
+    matching = [row for row in rows if len(row) == arity]
+    return project_answers(matching, bindings, equalities, projection)
 
 
 def free_variable_order(query: Literal) -> List[Variable]:

@@ -97,7 +97,6 @@ from ..datalog.database import Database, Delta, Row, normalize_row
 from ..datalog.errors import NotApplicableError
 from ..datalog.literals import Literal
 from ..datalog.rules import Program
-from ..datalog.semantics import answer_against_relation
 from ..datalog.terms import Constant
 from ..instrumentation import Counters
 
@@ -111,7 +110,9 @@ class EngineResult:
     answers:
         Tuples over the query's distinct variables, in order of first
         occurrence (the convention of
-        :func:`repro.datalog.semantics.answer_query`).
+        :func:`repro.datalog.semantics.answer_query`).  Each result owns
+        its set (and its ``details`` dict): no cache or other result holds
+        it, so the caller may mutate it freely.
     engine:
         The engine's registry name.
     counters:
@@ -293,9 +294,8 @@ class ModelMaterialization(Materialization):
         self._analysis = analysis
 
     def answer(self, query: Literal, counters: Optional[Counters] = None) -> EngineResult:
-        answers = answer_against_relation(self.database.rows(query.predicate), query)
         return EngineResult(
-            answers=answers,
+            answers=self.database.answers(query),
             engine=self.engine_name,
             counters=counters if counters is not None else Counters(),
             iterations=self.iterations,
@@ -328,6 +328,26 @@ class ModelMaterialization(Materialization):
         self.iterations = self.counters.iterations
         self._advance(version, applied)
         return self
+
+
+def _served(result: EngineResult, hit_counters: Optional[Counters] = None) -> EngineResult:
+    """A copy of a cached result that owns its answer set and details dict.
+
+    A caller mutating what it was served must not reach the cache, or the
+    next hit would hand the mutation out.  ``hit_counters`` marks a cache
+    hit: the copy reports them instead of the work that built the entry,
+    and sets ``details["cached"]``.
+    """
+    details = dict(result.details)
+    if hit_counters is not None:
+        details["cached"] = True
+    return EngineResult(
+        answers=set(result.answers),
+        engine=result.engine,
+        counters=hit_counters if hit_counters is not None else result.counters,
+        iterations=result.iterations,
+        details=details,
+    )
 
 
 class _DemandEntry:
@@ -377,30 +397,22 @@ class DemandMaterialization(Materialization):
     def answer(self, query: Literal, counters: Optional[Counters] = None) -> EngineResult:
         key = _canonical_query_key(query)
         entry = self._entries.get(key)
+        call_counters = counters if counters is not None else Counters()
         if entry is None:
-            call_counters = counters if counters is not None else Counters()
             entry = _DemandEntry(query, None, self._log_end())
             entry.result = self.engine._materialize_entry(self, entry, call_counters)
             self._entries[key] = entry
-            return entry.result
+            return _served(entry.result)
         if entry.synced < self._log_end():
             delta_slice = self._log[entry.synced - self._log_offset :]
             entry.synced = self._log_end()
             self._prune_log()
             if self._delta_visible_to(entry, delta_slice):
-                call_counters = counters if counters is not None else Counters()
                 entry.result = self.engine._refresh_entry(
                     self, entry, delta_slice, call_counters
                 )
-                return entry.result
-        cached = entry.result
-        return EngineResult(
-            answers=cached.answers,
-            engine=cached.engine,
-            counters=counters if counters is not None else Counters(),
-            iterations=cached.iterations,
-            details={**cached.details, "cached": True},
-        )
+                return _served(entry.result)
+        return _served(entry.result, hit_counters=call_counters)
 
     def resume(self, edb_delta, counters=None, version=None):
         delta = _coerce_delta(self.program, edb_delta)

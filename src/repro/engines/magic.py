@@ -39,7 +39,6 @@ from ..datalog.database import Database
 from ..datalog.errors import NotApplicableError
 from ..datalog.literals import Literal
 from ..datalog.rules import Program, Rule
-from ..datalog.semantics import answer_against_relation
 from ..datalog.terms import Constant, Term
 from ..instrumentation import Counters
 from .base import Engine, EngineResult, register
@@ -130,8 +129,7 @@ class MagicSetsEngine(Engine):
         magic_program, rewritten_query, seed = rewrite_magic(adorned)
         database.add_fact(seed.head.predicate, seed.head.constant_values())
         evaluate_seminaive(magic_program, database, counters)
-        rows = database.rows(rewritten_query.predicate)
-        answers = answer_against_relation(rows, rewritten_query)
+        answers = database.answers(rewritten_query)
         magic_facts = sum(
             database.count(p)
             for p in database.predicates()
@@ -198,8 +196,7 @@ class MagicSetsEngine(Engine):
 
     def _entry_result(self, adorned, entry, counters):
         magic_program, rewritten_query, overlay, _ = entry.state
-        rows = overlay.rows(rewritten_query.predicate)
-        answers = answer_against_relation(rows, rewritten_query)
+        answers = overlay.answers(rewritten_query)
         magic_facts = sum(
             overlay.count(p) for p in overlay.predicates() if p.startswith("magic_")
         )

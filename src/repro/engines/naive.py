@@ -23,7 +23,6 @@ from ..datalog.analysis import analyze
 from ..datalog.database import Database
 from ..datalog.literals import Literal
 from ..datalog.rules import Program
-from ..datalog.semantics import answer_against_relation
 from ..instrumentation import Counters
 from .base import Engine, EngineResult, Materialization, ModelMaterialization, register
 from .runtime import evaluate_stratified
@@ -54,9 +53,8 @@ class NaiveEngine(Engine):
         counters: Counters,
     ) -> EngineResult:
         iterations = evaluate_naive(program, database, counters)
-        answers = answer_against_relation(database.rows(query.predicate), query)
         return EngineResult(
-            answers=answers,
+            answers=database.answers(query),
             engine=self.name,
             counters=counters,
             iterations=iterations,

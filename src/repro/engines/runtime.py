@@ -236,13 +236,19 @@ def _seminaive_stratum(
         component_predicates = set(component) & derived_predicates
         if not component_predicates:
             continue
-        rules = [
-            rule
-            for predicate in component_predicates
-            for rule in program.rules_for(predicate)
-            if rule.body
-        ]
+        rules = _component_rules(program, component_predicates)
         evaluate_component(rules, component_predicates, database, counters)
+
+
+def _component_rules(program: Program, predicates: Set[str]) -> List[Rule]:
+    """The rules headed in a component, in program order.
+
+    Not in the component's own iteration order: a component is a set of
+    predicate names, whose order follows string hashing and so changes with
+    ``PYTHONHASHSEED`` -- and the firing order of a multi-predicate
+    component's rules moves its work counters.
+    """
+    return [rule for rule in program.idb_rules() if rule.head.predicate in predicates]
 
 
 def _fire_folds(
@@ -794,12 +800,7 @@ def _resume_positive(
         component_predicates = set(component) & derived_predicates
         if not component_predicates:
             continue
-        rules = [
-            rule
-            for predicate in component_predicates
-            for rule in program.rules_for(predicate)
-            if rule.body
-        ]
+        rules = _component_rules(program, component_predicates)
         new_tuples += _resume_component(
             rules, component_predicates, database, changed, counters
         )
@@ -852,8 +853,8 @@ def _resume_component(
         for rule in rules
     ]
     while delta.total_facts():
-        for predicate in delta.predicates():
-            changed.add_facts(predicate, delta.rows(predicate))
+        for predicate, relation in delta.relations.items():
+            changed.add_rows(predicate, list(relation.table.all_rows()), journal=False)
         new_delta = Database()
         for rule, plans in variants:
             head_predicate = rule.head.predicate
@@ -949,7 +950,7 @@ def _dred_delete(
             component_order[predicate] = index
     rederived = Database()
     for predicate in sorted(
-        overdeleted.predicates(), key=lambda p: component_order.get(p, 0)
+        overdeleted.predicates(), key=lambda p: (component_order.get(p, 0), p)
     ):
         for rule in program.rules_for(predicate):
             if not rule.body:

@@ -27,7 +27,6 @@ from ..datalog.database import Database, Row
 from ..datalog.errors import EvaluationError
 from ..datalog.literals import Literal
 from ..datalog.rules import Program
-from ..datalog.semantics import answer_against_relation
 from ..instrumentation import Counters
 from .base import Engine, EngineResult, Materialization, ModelMaterialization, register
 from .runtime import evaluate_stratified, resume_stratified
@@ -47,9 +46,8 @@ class SeminaiveEngine(Engine):
         counters: Counters,
     ) -> EngineResult:
         derived = evaluate_seminaive(program, database, counters)
-        answers = answer_against_relation(derived.rows(query.predicate), query)
         return EngineResult(
-            answers=answers,
+            answers=derived.answers(query),
             engine=self.name,
             counters=counters,
             iterations=counters.iterations,

@@ -617,6 +617,19 @@ class IntTable:
             return _EMPTY_ROWS, (positions, int_key)
         return bucket, (positions, int_key)
 
+    def built_bucket(self, bindings: Dict[int, object]) -> Optional[List[Row]]:
+        """The live bucket of ``bindings`` if reading it builds no index.
+
+        A peek in the manner of :meth:`built_adjacency`: a fully-bound probe
+        reads the row map and a built subset index serves its bucket (a
+        lagging one is caught up first, as on every probe), but a missing
+        index is not built -- ``None`` tells the caller to filter the rows
+        itself, which costs less than building an index to read it once.
+        """
+        if len(bindings) != self.arity and frozenset(bindings) not in self._indexes:
+            return None
+        return self.bucket(bindings)[0]
+
     # -- adjacency (binary fast path) ----------------------------------------
 
     def built_adjacency(

@@ -7,13 +7,17 @@ check that the bookkeeping around the traversal stays out of the way:
   transitions earlier expansions spliced in;
 * the automatic cyclic-data bound counts the accessible nodes of a stored
   relation from the storage kernel, without rebuilding the relation in
-  relational algebra on every query.
+  relational algebra on every query;
+* the stall heuristic counts the answer nodes as they are added, without
+  a pass over the whole node graph on every iteration.
 """
 
 import pytest
 
 from repro.core import automaton as em
-from repro.core import cyclic
+from repro.core import cyclic, traversal
+from repro.core.planner import evaluate_query
+from repro.datalog.parser import parse_literal, parse_program
 from repro.datalog.semantics import answer_query
 from repro.engines import run_engine
 from repro.relalg.automaton import Transition
@@ -75,3 +79,40 @@ def test_session_demand_query_reads_no_stored_rows(monkeypatch):
     assert session.strategy_for(query) == "graph"
     monkeypatch.setattr(cyclic, "BinaryRelation", _RowsForbidden)
     assert session.query(query).answers == expected
+
+
+# Outside the linear form of Marchetti-Spaccamela et al. (two recursive
+# terms), so the planner bounds the traversal with the stall heuristic.
+TWO_RECURSIVE_TERMS = """
+    p(X, Y) :- a(X, Y).
+    p(X, Y) :- b(X, Z), p(Z, W), c(W, Y).
+    p(X, Y) :- d(X, Z), p(Z, W), e(W, Y).
+    a(x0, y0).
+    b(x0, x1). b(x1, x0).
+    c(y0, y1). c(y1, y2). c(y2, y0).
+    d(x0, x1). e(y2, w0). e(w0, w1).
+"""
+
+
+def test_stall_check_does_not_rescan_the_graph(monkeypatch):
+    iterated = 0
+
+    class CountingSet(set):
+        def __iter__(self):
+            nonlocal iterated
+            iterated += len(self)
+            return super().__iter__()
+
+    program = parse_program(TWO_RECURSIVE_TERMS)
+    query = parse_literal("p(x0, Y)")
+    monkeypatch.setattr(traversal, "set", CountingSet, raising=False)
+    answer = evaluate_query(program, query)
+    monkeypatch.undo()
+
+    assert answer.strategy == "graph-traversal"
+    assert answer.answers == answer_query(program, query)
+    assert answer.iterations == 16
+    # The traversal's own sets (graph, continuation points, start nodes)
+    # are walked a constant number of times per generated node, however
+    # many iterations the stall heuristic runs.
+    assert iterated <= 2 * answer.counters.nodes_generated

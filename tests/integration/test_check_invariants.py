@@ -2,9 +2,10 @@
 
 Pins three things: the real source tree is clean, a synthetic violation of
 each rule (storage encapsulation, no threads, no ``id()``, the storage
-setting stays in the storage layer, no ``global`` statements) is flagged
-with an exact ``line:column``, and the ``self``/storage-package exemptions
-hold so the checker never cries wolf.
+setting stays in the storage layer, no ``global`` statements, no
+``rows()`` in the engines) is flagged with an exact ``line:column``, and
+the ``self``/storage-package exemptions hold so the checker never cries
+wolf.
 """
 
 import subprocess
@@ -189,6 +190,38 @@ class TestNoGlobals:
             "    return bump\n"
         )
         assert check_invariants.check_file(source) == []
+
+
+class TestNoRowsInEngines:
+    def test_flags_rows_call_in_the_engines(self, tmp_path):
+        engines = tmp_path / "src" / "repro" / "engines"
+        engines.mkdir(parents=True)
+        source = engines / "naive.py"
+        source.write_text(
+            "def answer(database, query, project):\n"
+            "    return project(database.rows(query.predicate), query)\n"
+        )
+        violations = check_invariants.check_file(source)
+        assert len(violations) == 1
+        line, column, message = violations[0]
+        assert (line, column) == (2, 20)
+        assert "`rows()`" in message and "Database.answers" in message
+
+    def test_answers_row_views_and_other_layers_are_clean(self, tmp_path):
+        root = tmp_path / "src" / "repro"
+        (root / "engines").mkdir(parents=True)
+        (root / "datalog").mkdir()
+        (root / "engines" / "seminaive.py").write_text(
+            "def answer(database, query, table):\n"
+            "    size = database.count(query.predicate)\n"
+            "    rows = list(table.all_rows())\n"
+            "    return database.answers(query), size, rows, table.rows_map\n"
+        )
+        (root / "datalog" / "semantics.py").write_text(
+            "def derived(model, predicate):\n"
+            "    return model.rows(predicate)\n"
+        )
+        assert check_invariants.check_tree([tmp_path / "src"]) == 0
 
 
 class TestRepoTree:

@@ -12,6 +12,7 @@ from repro.session import (
     program_fingerprint,
     select_engine,
 )
+from repro.workloads import random_genealogy
 
 SG = """
     sg(X, Y) :- flat(X, Y).
@@ -82,6 +83,24 @@ class TestQueryServing:
         session, _ = sg_session("seminaive")
         result = session.query("sg(a, Y)")
         assert result.engine == "seminaive"
+
+    @pytest.mark.parametrize("engine", ["magic", "graph", "seminaive"])
+    def test_mutating_a_served_result_leaves_the_cache_intact(self, engine):
+        program, database, _ = random_genealogy(60, 4)
+        query = parse_literal("sg(p1, Y)")
+        expected = answer_query(program, query, database)
+        assert expected
+        session = QuerySession(program, database, engine=engine)
+        for _ in range(3):
+            served = session.query(query)
+            assert served.answers == expected
+            served.answers.clear()
+            served.details.clear()
+            served.details["cached"] = "tampered"
+        again = session.query(query)
+        assert again.answers == expected
+        assert again.details.get("cached") in (None, True)
+        assert session.query(query).answers is not again.answers
 
 
 class TestIncrementalRefresh:

@@ -210,6 +210,17 @@ class TestRemoval:
             assert table.bucket(missing)[0] == []
             assert table._indexes == {}, f"arity {arity} probe built an index"
 
+    def test_built_bucket_reads_only_built_indexes(self):
+        table = table_of([("a", "b"), ("a", "c"), ("d", "b")])
+        assert table.built_bucket({0: "a"}) is None
+        assert table.built_bucket({0: "a", 1: "c"}) == [("a", "c")]
+        assert table._indexes == {}
+        table.bucket({0: "a"})
+        table.add_many([("a", "e")])  # leaves the built index lagging
+        assert table.built_bucket({0: "a"}) == [("a", "b"), ("a", "c"), ("a", "e")]
+        assert table.built_bucket({0: "zz"}) == []
+        assert table.built_bucket({1: "b"}) is None
+
     def test_mutation_epoch_tracks_effective_changes_only(self):
         table = table_of([("a", "b")])
         epoch = table.mutations

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Repo invariant checker: storage encapsulation, no threads, no ``id()``,
-the storage setting stays in the storage layer, no ``global`` statements.
+the storage setting stays in the storage layer, no ``global`` statements,
+no whole-relation ``rows()`` copies in the engines.
 
-Five rules, checked over the source tree's ASTs:
+Six rules, checked over the source tree's ASTs:
 
 * **Storage internals stay inside ``repro.storage``.**  The
   :class:`repro.storage.table.IntTable` row map, subset indexes, lag
@@ -43,6 +44,12 @@ Five rules, checked over the source tree's ASTs:
   ``current_config()`` and changed with ``configured()``; a module global
   rebound at run time is shared by every thread and every session in the
   process, so a ``global`` statement is rejected anywhere.
+* **No ``rows()`` in the engines.**  ``Database.rows`` freezes a copy of a
+  whole relation, and under ``src/repro/engines`` every such call sat on an
+  answer, resume or maintenance path.  A call of any method named ``rows``
+  there is rejected: answer with ``Database.answers`` (the index bucket of
+  the query's constants), count with ``Database.count``, and walk a table's
+  rows through its insertion-ordered row view (``table.all_rows()``).
 
 Usage::
 
@@ -80,17 +87,29 @@ MODE_FIELD = "storage"
 #: The layer the storage setting belongs to, below ``src/repro``.
 MODE_OWNERS = (("storage",), ("datalog", "database.py"))
 
+#: The package whose answer, resume and maintenance paths may not copy a
+#: whole relation through ``rows()``.
+ENGINES_PREFIX = ("src", "repro", "engines")
+
 
 def _is_self_access(node: ast.Attribute) -> bool:
     return isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
 
 
-def _exempt(path: Path) -> bool:
+def _under(path: Path, prefix: Tuple[str, ...]) -> bool:
     parts = path.parts
     for start in range(len(parts)):
-        if parts[start : start + len(ALLOWED_PREFIX)] == ALLOWED_PREFIX:
+        if parts[start : start + len(prefix)] == prefix:
             return True
     return False
+
+
+def _is_rows_call(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "rows"
+    )
 
 
 def _is_thread(node: ast.AST) -> bool:
@@ -162,7 +181,8 @@ def check_file(path: Path) -> List[Tuple[int, int, str]]:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     except (OSError, SyntaxError) as exc:
         return [(0, 0, f"cannot parse: {exc}")]
-    storage_owner = _exempt(path)
+    storage_owner = _under(path, ALLOWED_PREFIX)
+    in_engines = _under(path, ENGINES_PREFIX)
     package = _package(path)
     violations: List[Tuple[int, int, str]] = []
     for node in ast.walk(tree):
@@ -193,6 +213,16 @@ def check_file(path: Path) -> List[Tuple[int, int, str]]:
                     node.col_offset + 1,
                     "`threading.Thread` in repro; evaluation runs on the "
                     "caller's thread and parallelism is fork-only",
+                )
+            )
+        elif in_engines and _is_rows_call(node):
+            violations.append(
+                (
+                    node.lineno,
+                    node.col_offset + 1,
+                    "`rows()` in repro.engines freezes a copy of a whole "
+                    "relation; use Database.answers, Database.count or the "
+                    "table's row view",
                 )
             )
         elif _is_id_call(node):
