@@ -15,7 +15,7 @@ measured twice and written to ``BENCH_session.json``:
 Reported speedups are *amortized wall-clock*: total time for the whole
 scenario, baseline / session.
 
-Two baseline flavours, the same methodology as ``bench_storage_kernel.py``:
+Two baseline flavours:
 
 * ``--baseline-path <src>`` -- run the baseline passes in a subprocess with
   ``PYTHONPATH`` pointing at a pre-session checkout (the honest historical

@@ -1,20 +1,20 @@
 """Evaluation settings: one frozen :class:`EvalConfig` per thread.
 
 Every setting that selects *how* a query is evaluated is a field of
-:class:`EvalConfig`.  No setting changes an answer; ``execution``,
-``storage`` and ``parallelism`` leave every work counter unchanged too,
-which the differential suites check cell by cell.
+:class:`EvalConfig`.  No setting changes an answer; ``execution`` and
+``parallelism`` leave every work counter unchanged too, which the
+differential suites check cell by cell.
 
 * ``execution`` -- ``"columnar"`` (default) fires plans through the batch
   executor (:meth:`~repro.datalog.plans.JoinPlan.head_batch`);
-  ``"interpreted"`` runs the reference substitution-dictionary join over
-  the same plans, the differential oracle.
+  ``"interpreted"`` is the reference evaluation, the differential oracle:
+  the substitution-dictionary join over the same plans, with
+  :meth:`Database.scan <repro.datalog.database.Database.scan>` charging
+  every retrieval row by row (no bucket memo) and ``Database.image``
+  running its per-row scan loop.
 * ``plan`` -- ``"legacy"`` (default) keeps the greedy bound-count join
   order the counter pins hold; ``"cost"`` orders joins, re-plans
   mid-fixpoint and checks strategy choices by :mod:`repro.stats` estimates.
-* ``storage`` -- ``"kernel"`` (default) or ``"reference"``: how
-  :meth:`Database.scan <repro.datalog.database.Database.scan>` and
-  ``Database.image`` read and charge (see :mod:`repro.storage.runtime`).
 * ``optimize`` -- whether ``Engine.answer`` first rewrites the program with
   :func:`repro.datalog.transform.optimize` (default ``False``).
 * ``parallelism`` -- how many cores the fixpoint offload may use; the
@@ -55,7 +55,6 @@ def _env_parallelism() -> int:
 _CHOICES = {
     "execution": ("columnar", "interpreted"),
     "plan": ("legacy", "cost"),
-    "storage": ("kernel", "reference"),
 }
 
 
@@ -65,7 +64,6 @@ class EvalConfig:
 
     execution: str = "columnar"
     plan: str = "legacy"
-    storage: str = "kernel"
     optimize: bool = False
     parallelism: int = field(default_factory=_env_parallelism)
 

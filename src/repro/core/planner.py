@@ -13,9 +13,10 @@ This module ties the pieces of the paper together into a single entry point,
    chain condition, transform to a binary-chain program, and evaluate that
    program with the same traversal machinery while the auxiliary relations
    are computed on demand;
-4. anything else falls back to bottom-up evaluation of the least model (the
-   paper's method simply does not apply; the fall-back keeps the public API
-   total).
+4. anything else falls back to bottom-up evaluation of the least (or
+   perfect) model by the stratified seminaive runtime (the paper's method
+   simply does not apply; the fall-back keeps the public API total and
+   charges what the seminaive engine charges).
 
 The returned :class:`QueryAnswer` reports which strategy ran, the answers in
 the same projection convention as
@@ -33,7 +34,7 @@ from ..datalog.database import Database
 from ..datalog.errors import NotApplicableError
 from ..datalog.literals import Literal
 from ..datalog.rules import Program
-from ..datalog.semantics import answer_against_relation, free_variable_order, least_model
+from ..datalog.semantics import answer_against_relation, free_variable_order
 from ..datalog.terms import Variable
 from ..instrumentation import Counters
 from .chain_transform import ChainTransformProvider, ChainTransformResult, transform_to_binary_chain
@@ -446,11 +447,16 @@ def _reassemble_answers(
 def _answer_bottom_up(
     program: Program, query: Literal, database: Database, counters: Counters
 ) -> QueryAnswer:
-    model = least_model(program, database)
-    counters.derived_tuples += sum(model.count(p) for p in program.derived_predicates)
+    """The stratified seminaive runtime, in place on the per-call overlay,
+    charged to the caller's counters exactly as the seminaive engine is."""
+    from ..engines.runtime import evaluate_stratified
+
+    rounds = counters.iterations
+    evaluate_stratified(program, database, counters)
     return QueryAnswer(
-        answers=model.answers(query),
+        answers=database.answers(query),
         strategy="bottom-up",
         counters=counters,
-        details={"model_size": model.total_facts()},
+        iterations=counters.iterations - rounds,
+        details={"model_size": database.total_facts()},
     )

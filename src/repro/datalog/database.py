@@ -285,10 +285,10 @@ class Database:
         # Direct-charging kernel probes reused across batches: (predicate,
         # probe positions, intra-row equalities) -> (relation, table
         # mutation epoch, probe).  A probe is valid while the relation
-        # object and its table's mutation epoch are unchanged (and is
-        # dropped wholesale on instrumentation resets, which swap the
-        # counters object it charges).  Reuse keeps the probe's per-batch
-        # key memo warm across fixpoint rounds for static relations.
+        # object, its table's mutation epoch and the counters object it
+        # charges are unchanged (and is dropped wholesale on instrumentation
+        # resets).  Reuse keeps the probe's per-batch key memo warm across
+        # fixpoint rounds for static relations.
         self._probe_cache: Dict[tuple, tuple] = {}
         # Per-(predicate, position) image context: the adjacency dict, the
         # interner lookup and the charged-bucket memo for :meth:`image`,
@@ -622,6 +622,12 @@ class Database:
         are charged to :attr:`counters` exactly as :meth:`match` charges them,
         and the returned list is a snapshot safe to iterate while inserting.
         This is the primitive the compiled join plans drive directly.
+
+        A repeated retrieval of an unchanged bucket is charged through the
+        bucket-level charging memo (:meth:`charge_bucket`).  The reference
+        evaluation (``configured(execution="interpreted")``) charges every
+        retrieval row by row instead, the memo-free oracle the memo is
+        checked against.
         """
         relation = self.relations.get(predicate)
         if relation is None:
@@ -640,10 +646,10 @@ class Database:
         # is live internal state and must be snapshotted before returning.
         result = candidates if token is FULL_SCAN else list(candidates)
         if charge:
-            if current_config().storage == "kernel":
-                self.charge_bucket(predicate, token, result, relation.table.mutations)
-            else:
+            if current_config().execution == "interpreted":
                 self._charge(predicate, result)
+            else:
+                self.charge_bucket(predicate, token, result, relation.table.mutations)
         return result
 
     def image(
@@ -655,14 +661,16 @@ class Database:
         (``{x | y ∈ values, predicate(x, y)}``).  This is the primitive the
         compiled relational-algebra images and the graph-traversal provider
         drive: one adjacency-bucket union per frontier value, charged exactly
-        as the equivalent per-value :meth:`scan` loop charges.
+        as the equivalent per-value :meth:`scan` loop charges.  The reference
+        evaluation (``configured(execution="interpreted")``) runs that loop
+        itself, the oracle the adjacency path is checked against.
         """
         relation = self.relations.get(predicate)
         if relation is None:
             return set()
         position, output = (1, 0) if inverted else (0, 1)
-        if relation.arity != 2 or current_config().storage != "kernel":
-            # Reference path: the historical per-row object-tuple loop.
+        if relation.arity != 2 or current_config().execution == "interpreted":
+            # Reference path: the per-row scan loop.
             result: Set[object] = set()
             for value in values:
                 for row in self.scan(predicate, {position: value}):
@@ -773,9 +781,9 @@ class Database:
         ``token`` names the bucket (see :meth:`IntTable.bucket
         <repro.storage.table.IntTable.bucket>`) and ``mutations`` is its
         table's mutation epoch (see ``_charged`` for when a memo hit is
-        exact).  This is :meth:`scan`'s kernel-mode charge; the batch
-        executor's step-0 full scan passes the table's row view, so a memo
-        hit never materialises the rows.
+        exact).  This is :meth:`scan`'s charge outside the reference
+        evaluation; the batch executor's step-0 full scan passes the table's
+        row view, so a memo hit never materialises the rows.
         """
         charged = self._charged.get(predicate)
         if charged is None:

@@ -54,8 +54,8 @@ The DL7xx family is produced by the abstract-interpretation layer
 (:mod:`repro.datalog.abstract`): a dataflow fixpoint inferring per-column
 sorts, constant sets, integer intervals and emptiness for every predicate.
 It runs in :func:`check_program` (so ``session.diagnostics`` carries the
-findings), in :func:`ensure_valid` (surfaced through the planner event ring
-``explain()`` drains) and in the lint CLI behind ``--analyze``.
+findings), in ``QuerySession.explain()`` (for the program it explains) and
+in the lint CLI behind ``--analyze``.
 
 Entry points
 ------------
@@ -256,43 +256,18 @@ def eager_validation_enabled() -> bool:
     return True
 
 
-def ensure_valid(program: Program, database: Optional[object] = None) -> None:
+def ensure_valid(program: Program) -> None:
     """Raise eagerly when ``program`` cannot evaluate; cheap when it can.
 
     Positive programs were fully validated at construction; the one check
     that historically fired mid-evaluation is stratifiability, so that is
     what runs here (memoized per program -- repeated calls are O(1)): a
     stratification cycle raises before evaluation starts, not mid-fixpoint.
-
-    When ``database`` is supplied the abstract-interpretation layer also
-    runs (memoized per program instance and database version) and records
-    its DL7xx findings on the planner event ring, where ``explain()``
-    surfaces them.  The analysis never charges a work counter and never
-    raises: its findings are warnings and hints, not errors.
     """
     if not program.is_positive:
         from .analysis import Stratification
 
         Stratification.of(program)
-    if database is not None:
-        _record_abstract_events(program, database)
-
-
-def _record_abstract_events(program: Program, database: object) -> None:
-    """Record the DL7xx findings as planner events, once per analysis."""
-    from .abstract import AbstractAnalysis
-
-    analysis = AbstractAnalysis.of(program, database)
-    if getattr(analysis, "_events_recorded", False):
-        return
-    analysis._events_recorded = True
-    findings = _abstract_findings(analysis)
-    if not findings:
-        return
-    from .plans import record_planner_event
-
-    for finding in findings:
-        record_planner_event(finding)
 
 
 def abstract_diagnostics(

@@ -29,7 +29,7 @@ each body **once** into a :class:`JoinPlan`:
   its own head relation) use a flat iterative backtracking loop that
   drives :meth:`~repro.datalog.database.Database.scan` with a positional
   slot array.  Neither path materialises substitution dictionaries or
-  re-wrapped literals on the hot path, and neither reads the storage mode.
+  re-wrapped literals on the hot path.
 
 Plans are cached (:func:`body_plan` / :func:`rule_plan` / :func:`delta_plan`)
 keyed by the body, the set of initially-bound variables and the delta
@@ -2023,9 +2023,9 @@ def compile_image(expression) -> ImageFunction:
     once at compile time instead of once per application, and base-predicate
     images drive :meth:`~repro.datalog.database.Database.image`: one
     adjacency-bucket union per frontier value on the interned storage kernel
-    (or the historical per-row :meth:`~repro.datalog.database.Database.scan`
-    loop under the ``"reference"`` storage mode), charged identically either
-    way.
+    (or the per-row :meth:`~repro.datalog.database.Database.scan` loop under
+    the reference evaluation, ``configured(execution="interpreted")``),
+    charged identically either way.
     """
     from ..relalg.expressions import Compose, Empty, Identity, Inverse, Pred, Star, Union
     from .errors import NotApplicableError

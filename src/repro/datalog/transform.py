@@ -18,8 +18,7 @@ smaller one that derives exactly the same answers:
 
 Every pass preserves the stratified model restricted to the queried
 predicates: the differential test suite proves answers identical against
-the untransformed program for every engine x storage mode x plan mode x
-execution mode.
+the untransformed program for every engine x plan mode x execution mode.
 
 The ``optimize`` setting of :class:`repro.config.EvalConfig` selects it:
 

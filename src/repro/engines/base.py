@@ -481,17 +481,17 @@ class Engine:
         from ..datalog.transform import optimize
         from ..session.facts import combined_database, combined_snapshot
 
-        # Validate and optimize against the memoized snapshot under the
-        # per-call overlay: the abstract-interpretation layer and the
-        # optimizer (memoized per program and database object, the DL7xx
-        # findings recorded on the planner event ring for ``explain()``)
-        # then run once per database version.
-        snapshot = combined_snapshot(program, database)
-        ensure_valid(program, snapshot)
+        ensure_valid(program)
         combined = combined_database(program, database, counters)
         if current_config().optimize:
+            # Optimize against the memoized snapshot under the per-call
+            # overlay: the optimizer and its abstract analysis (memoized per
+            # program and database object) then run once per database
+            # version.
             rewritten = optimize(
-                program, queries=(query.predicate,), database=snapshot
+                program,
+                queries=(query.predicate,),
+                database=combined_snapshot(program, database),
             )
             optimized = rewritten.program
             if (

@@ -7,10 +7,9 @@ about *serving many queries over a slowly-growing database* lives here:
   EDB) merge memoized per database version, reused by the bare
   ``Engine.answer`` path;
 * :class:`~repro.session.session.QuerySession` -- prepared/parameterized
-  queries, a materialization cache keyed on ``(program fingerprint,
-  database version, strategy)``, automatic incremental refresh on insert,
-  and strategy auto-selection via :func:`~repro.session.session
-  .select_engine`.
+  queries, a materialization cache holding one materialization per
+  strategy, automatic incremental refresh on insert, and strategy
+  auto-selection via :func:`~repro.session.session.select_engine`.
 
 See :mod:`repro.engines.base` for the materialize / answer / resume engine
 contract this layer drives.

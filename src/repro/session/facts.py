@@ -34,8 +34,8 @@ def program_fingerprint(program: Program) -> str:
     """A stable, printable fingerprint of a program's rule set.
 
     Order-insensitive (programs equal up to rule order fingerprint equally)
-    and stable across processes, unlike ``hash(program)``.  Used as the
-    program component of the session materialization cache key.
+    and stable across processes, unlike ``hash(program)``.  A
+    :class:`~repro.session.session.QuerySession` shows it in its repr.
     """
     text = "\n".join(sorted(str(rule) for rule in program.rules))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

@@ -7,8 +7,8 @@ re-running a fixpoint per query:
 * the first query under a strategy builds that strategy's
   :class:`~repro.engines.base.Materialization` (full least model for the
   bottom-up model engines, a per-query demand cache for the constant-driven
-  strategies) and caches it under ``(program fingerprint, database version,
-  strategy)``;
+  strategies) and caches it per strategy, with the database version it
+  reflects (``basis_version``);
 * subsequent queries answer from the cache -- a relation lookup or a
   memoized traversal result;
 * :meth:`QuerySession.insert_facts` appends to the database, advances its
@@ -228,8 +228,8 @@ class QuerySession:
             program, database=self.database
         )
         self._engines: Dict[str, Engine] = {}
-        #: (program fingerprint, database version, strategy) -> Materialization
-        self._materializations: Dict[Tuple[str, int, str], Materialization] = {}
+        #: strategy -> its Materialization (at most one per strategy)
+        self._materializations: Dict[str, Materialization] = {}
         self.stats: Dict[str, int] = {
             "queries": 0,
             "materializations": 0,
@@ -300,13 +300,19 @@ class QuerySession:
         plan via :meth:`~repro.datalog.plans.JoinPlan.explain`: chosen scan
         order, per-step access paths, the cost model's estimates under
         ``configured(plan="cost")``, and observed per-node cardinalities
-        when the ``counters`` of a previous run are passed in.  Any planner
-        events recorded since the last explain (the adaptive re-planner's
-        ``DL601`` estimate-miss hints) are appended and drained.  Under
-        ``configured(optimize=True)`` the report of the query-directed
+        when the ``counters`` of a previous run are passed in.  The
+        abstract interpretation's ``DL7xx`` findings for the explained
+        program over the session's database follow
+        (:func:`~repro.datalog.diagnostics.abstract_diagnostics`), then any
+        planner events recorded since the last explain (the adaptive
+        re-planner's ``DL601`` estimate-miss hints), which are drained.
+        Under ``configured(optimize=True)`` the report of the query-directed
         program optimizer (:mod:`repro.datalog.transform`) is included and
-        the rule plans shown are those of the optimized program.
+        the rule plans and findings shown are those of the optimized
+        program.
         """
+        from ..datalog.diagnostics import abstract_diagnostics
+
         literal = parse_query(query) if isinstance(query, str) else query
         strategy = engine or self.engine or self.strategy_for(literal)
         config = current_config()
@@ -335,6 +341,11 @@ class QuerySession:
                 plan = rule_plan(rule, database=self.database)
                 for line in plan.explain(counters).splitlines():
                     lines.append(f"  {line}")
+        findings = abstract_diagnostics(program, self.database)
+        if findings:
+            lines.append("analysis findings:")
+            for finding in findings:
+                lines.append(f"  {finding.format()}")
         events = drain_planner_events()
         if events:
             lines.append("planner events:")
@@ -352,26 +363,14 @@ class QuerySession:
         cached one is resumed with exactly the missed delta instead of being
         rebuilt.
         """
-        version = self.database.version
-        cached = self._materializations.get((self.fingerprint, version, strategy))
-        if cached is not None:
-            return cached
-        # At most one materialization per strategy ever exists; a cache miss
-        # at the current version means either none yet or one left behind by
-        # a direct database write, which is resumed with the missed delta.
-        stale_key = next(
-            (k for k in self._materializations if k[2] == strategy), None
-        )
-        if stale_key is not None:
-            materialization = self._materializations.pop(stale_key)
-            self._resume(materialization, strategy)
-        else:
+        materialization = self._materializations.get(strategy)
+        if materialization is None:
             engine = self._engine_for(strategy)
             materialization = engine.materialize(self.program, self.database)
+            self._materializations[strategy] = materialization
             self.stats["materializations"] += 1
-        self._materializations[(self.fingerprint, self.database.version, strategy)] = (
-            materialization
-        )
+        elif materialization.basis_version != self.database.version:
+            self._resume(materialization, strategy)
         return materialization
 
     def _resume(self, materialization: Materialization, strategy: str) -> None:
@@ -396,20 +395,18 @@ class QuerySession:
         Returns the number of genuinely new rows.  Duplicates neither advance
         the database version nor trigger any resume work.
         """
-        before = self.database.version
         added = self.database.add_facts(predicate, rows)
         if added:
-            self._refresh(before)
+            self._refresh()
         return added
 
     def insert(self, facts: Dict[str, Iterable[Iterable[object]]]) -> int:
         """Insert a multi-predicate batch, refreshing caches once at the end."""
-        before = self.database.version
         added = 0
         for predicate, rows in facts.items():
             added += self.database.add_facts(predicate, rows)
         if added:
-            self._refresh(before)
+            self._refresh()
         return added
 
     def retract_facts(
@@ -423,20 +420,18 @@ class QuerySession:
         -- never rebuilt from scratch -- and the demand caches invalidate
         only the entries whose visible predicates the deletion touches.
         """
-        before = self.database.version
         removed = self.database.remove_facts(predicate, rows)
         if removed:
-            self._refresh(before)
+            self._refresh()
         return removed
 
     def retract(self, facts: Dict[str, Iterable[Iterable[object]]]) -> int:
         """Delete a multi-predicate batch, refreshing caches once at the end."""
-        before = self.database.version
         removed = 0
         for predicate, rows in facts.items():
             removed += self.database.remove_facts(predicate, rows)
         if removed:
-            self._refresh(before)
+            self._refresh()
         return removed
 
     def update(
@@ -446,25 +441,18 @@ class QuerySession:
     ) -> int:
         """Apply a mixed batch -- deletions first, then insertions -- with one
         refresh at the end; returns the number of effective mutations."""
-        before = self.database.version
         changed = 0
         for predicate, rows in (deletes or {}).items():
             changed += self.database.remove_facts(predicate, rows)
         for predicate, rows in (inserts or {}).items():
             changed += self.database.add_facts(predicate, rows)
         if changed:
-            self._refresh(before)
+            self._refresh()
         return changed
 
-    def _refresh(self, _before_version: int) -> None:
-        version = self.database.version
-        refreshed: Dict[Tuple[str, int, str], Materialization] = {}
-        for (fingerprint, _, strategy), materialization in list(
-            self._materializations.items()
-        ):
+    def _refresh(self) -> None:
+        for strategy, materialization in self._materializations.items():
             self._resume(materialization, strategy)
-            refreshed[(fingerprint, version, strategy)] = materialization
-        self._materializations = refreshed
 
     def __repr__(self) -> str:
         return (

@@ -16,12 +16,14 @@ Layer map::
     pairs.py      binary relations as shared successor indexes + builders
     columns.py    batch probes for the columnar join executor: column
                   extraction, charging and silent index probes
-    runtime.py    the kernel/reference storage setting Database.scan and
-                  Database.image read, for differential testing
+    runtime.py    the storage mode derived from the execution setting:
+                  the reference evaluation runs Database.scan and
+                  Database.image memo-free
 
 The work counters of :mod:`repro.instrumentation` measure *retrievals*, not
 representation: every fast path in this kernel charges exactly the rows the
-historical object-tuple implementation charged, which the differential suite
+memo-free reference evaluation (``configured(execution="interpreted")``)
+charges, which the differential suite
 (``tests/storage/test_storage_differential.py``) asserts per engine and per
 workload family.
 """

@@ -19,11 +19,12 @@ with whole-batch operations over parallel value columns:
   probe returns exactly the rows the ``Database.scan`` it stands for
   returns.
 
-The probes run in both storage modes: the ``reference`` mode switches only
-``Database.scan`` and ``Database.image`` to their memo-free loops, which the
-interpreted executor drives.  Every charge is applied directly: a batch
-never runs over a plan whose later scan steps read rows the consumer
-inserts during the same firing (see
+Only the columnar executor builds probes.  The reference evaluation
+(``configured(execution="interpreted")``) drives ``Database.scan`` and
+``Database.image`` through their memo-free loops instead, so it checks the
+probes' charging against an oracle that shares none of their state.  Every
+charge is applied directly: a batch never runs over a plan whose later scan
+steps read rows the consumer inserts during the same firing (see
 :meth:`repro.datalog.plans.JoinPlan.head_batch`), so a batch is never
 abandoned and nothing needs buffering.
 
@@ -31,7 +32,7 @@ Counter parity is the load-bearing contract of this module: every probe
 charges ``fact_retrievals`` / ``distinct_facts`` exactly as the equivalent
 sequence of :meth:`Database.scan` calls would, which the differential suites
 (``tests/engines/test_plan_differential.py``, the property suite under
-``tests/property/`` and the interpreted-plus-reference cell of
+``tests/property/`` and the interpreted cell of
 ``tests/storage/test_storage_differential.py``) assert for answers *and*
 counters on every workload.
 """
@@ -134,7 +135,7 @@ class SilentProbe:
 class KernelProbe:
     """Inline indexed probe-and-charge for one (database, relation) pair.
 
-    This is :meth:`Database.scan`'s kernel-mode path with the per-probe
+    This is :meth:`Database.scan`'s memo-charging path with the per-probe
     call tower peeled away: no bindings dictionary, no relation lookup, no
     ``bucket`` dispatch -- just a subset-index (or row-map, for fully-bound
     probes) lookup plus the bucket-level charging memo, inlined against
@@ -260,15 +261,23 @@ def build_probe(
         return None
     if db.counters is not visible:
         return SilentProbe(relation, positions, intra_eq)
-    # Reuse the probe while the relation is untouched: its charging state
-    # (counters, touched-set, memo) is all keyed off objects stable between
-    # mutations, and a warm key memo charges repeats exactly like the bucket
-    # memo would (see :meth:`KernelProbe.lookup`).
+    # Reuse the probe while the relation is untouched and the database still
+    # charges the counters the probe was built with: its touched-set and
+    # memo are stable between mutations, and a warm key memo charges
+    # repeats exactly like the bucket memo would (see
+    # :meth:`KernelProbe.lookup`).  Callers that swap ``db.counters`` for
+    # one operation (a materialization's resume, a magic refresh) get a
+    # probe charging the swapped-in object.
     mutations = relation.table.mutations
     cache = db._probe_cache
     cache_key = (predicate, positions, intra_eq)
     hit = cache.get(cache_key)
-    if hit is not None and hit[0] is relation and hit[1] == mutations:
+    if (
+        hit is not None
+        and hit[0] is relation
+        and hit[1] == mutations
+        and hit[2].counters is visible
+    ):
         return hit[2]
     probe = KernelProbe(db, relation, positions, intra_eq)
     cache[cache_key] = (relation, mutations, probe)

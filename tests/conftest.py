@@ -11,7 +11,7 @@ from repro.engines import runtime
 #: A matrix cell that runs the default ``columnar`` mode with every runtime
 #: firing sent through the plan's row executor -- the path unbatchable
 #: shapes and non-frozen self-feeding plans take.  It must charge exactly
-#: what the batch kernel and the interpreted oracle charge.
+#: what the batch kernel and the interpreted reference evaluation charge.
 ROW_FALLBACK = "row-fallback"
 
 
@@ -33,5 +33,7 @@ def _execution_cell(cell):
 @pytest.fixture(scope="session")
 def execution_cell():
     """``execution_cell(cell)`` enters one cell of the execution matrix:
-    ``"interpreted"``, ``"columnar"`` or ``"row-fallback"``."""
+    ``"interpreted"`` (the reference evaluation: substitution-dictionary
+    joins, memo-free ``Database.scan`` and ``Database.image``),
+    ``"columnar"`` or ``"row-fallback"``."""
     return _execution_cell

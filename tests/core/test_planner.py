@@ -11,6 +11,7 @@ from repro.datalog.database import Database
 from repro.datalog.errors import NotApplicableError
 from repro.datalog.parser import parse_literal, parse_program
 from repro.datalog.semantics import answer_query
+from repro.engines import get_engine
 from repro.relalg.expressions import Compose
 from repro.workloads import random_genealogy, sample_a, sample_b, sample_c, sample_cyclic
 
@@ -87,6 +88,18 @@ class TestStrategySelection:
         )
         assert answer.strategy == "bottom-up"
         assert answer.answers == {("f",), ("g",)}
+
+    def test_bottom_up_fallback_charges_what_seminaive_charges(self):
+        program = parse_program("tc(X, Y) :- e(X, Y). tc(X, Z) :- tc(X, Y), tc(Y, Z).")
+        database = Database.from_dict({"e": [(i, i + 1) for i in range(20)]})
+        query = parse_literal("tc(0, Y)")
+        graph = get_engine("graph").answer(program, query, database)
+        seminaive = get_engine("seminaive").answer(program, query, database)
+        assert graph.details["strategy"] == "bottom-up"
+        assert graph.answers == seminaive.answers
+        assert graph.counters.as_dict() == seminaive.counters.as_dict()
+        assert graph.counters.fact_retrievals == 1535
+        assert graph.iterations == seminaive.iterations == 4
 
 
 class TestAnswerCorrectness:

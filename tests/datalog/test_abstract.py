@@ -18,12 +18,11 @@ from repro.datalog.diagnostics import (
     Severity,
     abstract_diagnostics,
     check_program,
-    ensure_valid,
     lint_source,
 )
 from repro.datalog.parser import parse_literal, parse_program
-from repro.datalog.plans import drain_planner_events
 from repro.engines import get_engine
+from repro.session import QuerySession
 
 
 def codes(diagnostics):
@@ -270,19 +269,28 @@ class TestSurfacing:
         diagnostics = abstract_diagnostics(program, database=database)
         only(diagnostics, "DL704")
 
-    def test_ensure_valid_records_planner_events_once(self):
+    def test_explain_lists_the_findings_of_its_program(self):
         program = parse_program("q(1). q(2).\np(X) :- q(X), X > 5.")
-        database = Database()
-        drain_planner_events()
-        ensure_valid(program, database)
-        events = drain_planner_events()
-        assert "DL704" in [e.code for e in events]
-        ensure_valid(program, database)  # memoized analysis: no re-record
-        assert drain_planner_events() == []
+        report = QuerySession(program, Database()).explain("p(X)")
+        assert "analysis findings:" in report
+        assert "DL704" in report
 
-    def test_engine_answer_builds_the_analysis_once_per_version(self, monkeypatch):
-        """Each ``Engine.answer`` runs over a fresh overlay; validating that
-        overlay missed the analysis memo on every call."""
+    def test_explain_omits_findings_of_other_programs(self):
+        """``Engine.answer`` on one program must not leave its findings for
+        ``explain()`` of another program to print."""
+        empty_join = parse_program("q(X) :- e(X, Y), f(Y).")
+        database = Database.from_dict({"e": [(1, "s"), (2, "t")], "f": [(3,)]})
+        assert abstract_diagnostics(empty_join, database) != []
+        get_engine("seminaive").answer(empty_join, parse_literal("q(X)"), database)
+        tc = parse_program("tc(X, Y) :- e(X, Y). tc(X, Z) :- tc(X, Y), e(Y, Z).")
+        session = QuerySession(tc, Database.from_dict({"e": [(1, 2), (2, 3)]}))
+        report = session.explain("tc(1, Y)")
+        assert "DL7" not in report
+        assert "analysis findings:" not in report
+
+    def test_engine_answer_builds_no_analysis_without_the_optimizer(
+        self, monkeypatch
+    ):
         builds = []
         original = AbstractAnalysis._build.__func__
 
@@ -297,11 +305,9 @@ class TestSurfacing:
         database.add_facts("e", [(1, 5)])
         engine = get_engine("seminaive")
         assert engine.answer(program, query, database).answers == {(1,)}
-        assert engine.answer(program, query, database).answers == {(1,)}
-        assert len(builds) == 1
         database.add_fact("e", (2, 6))
         assert engine.answer(program, query, database).answers == {(1,), (2,)}
-        assert len(builds) == 2
+        assert builds == []
 
     def test_optimizer_builds_nothing_on_repeat_answers(self, monkeypatch):
         """With the optimizer on, ``Engine.answer`` must optimize against the

@@ -2,8 +2,9 @@
 
 Unit tests pin each rewrite pass on hand-built programs; the differential
 matrix proves answer identity optimizer-on vs optimizer-off for every
-engine x storage mode x plan mode x execution mode; the golden explain test
-pins the dead-rule-elimination report the acceptance criteria ask for.
+engine x plan mode x execution cell, with the facts written in the program
+or handed over as an external database; the golden explain test pins the
+dead-rule-elimination report the acceptance criteria ask for.
 """
 
 import gc
@@ -16,6 +17,7 @@ from repro.datalog.abstract import AbstractAnalysis
 from repro.datalog.database import Database
 from repro.datalog.errors import NotApplicableError
 from repro.datalog.parser import parse_literal, parse_program, parse_query
+from repro.datalog.rules import Program
 from repro.datalog.semantics import answer_query
 from repro.datalog.transform import TransformReport, optimize
 from repro.engines import available_engines, get_engine
@@ -240,10 +242,15 @@ DIFFERENTIAL_PROGRAMS = [
 
 
 class TestDifferentialMatrix:
-    """Optimizer-on answers == optimizer-off answers, every mode combination."""
+    """Optimizer-on answers == optimizer-off answers, every mode combination.
+
+    ``facts="database"`` moves the program's facts into an external
+    :class:`Database`, so the optimizer reads the relations' abstract domains
+    from the caller's database rather than from the program's own facts.
+    """
 
     @pytest.mark.parametrize("engine_name", sorted(available_engines()))
-    @pytest.mark.parametrize("storage", ["kernel", "reference"])
+    @pytest.mark.parametrize("facts", ["program", "database"])
     @pytest.mark.parametrize("plan", ["legacy", "cost"])
     @pytest.mark.parametrize(
         "execution", ["interpreted", "columnar", "row-fallback"]
@@ -256,7 +263,7 @@ class TestDifferentialMatrix:
     def test_matrix(
         self,
         engine_name,
-        storage,
+        facts,
         plan,
         execution,
         program_text,
@@ -264,18 +271,22 @@ class TestDifferentialMatrix:
         execution_cell,
     ):
         program = parse_program(program_text)
+        database = None
+        if facts == "database":
+            database = Database.from_program(program)
+            program = Program(rule for rule in program.rules if not rule.is_fact)
         query = parse_literal(query_text)
         engine = get_engine(engine_name)
-        with configured(storage=storage, plan=plan), execution_cell(execution):
+        with configured(plan=plan), execution_cell(execution):
             try:
-                baseline = engine.answer(program, query)
+                baseline = engine.answer(program, query, database)
             except NotApplicableError:
                 pytest.skip(f"{engine_name} not applicable to {query_text}")
             with configured(optimize=True):
-                optimized = engine.answer(program, query)
+                optimized = engine.answer(program, query, database)
         assert optimized.answers == baseline.answers, (
             engine_name,
-            storage,
+            facts,
             plan,
             execution,
         )

@@ -83,12 +83,12 @@ def test_wildcard_projection_regression_in_every_engine(engine_name):
     )
 
 
-@pytest.mark.parametrize("storage", ["kernel", "reference"])
+@pytest.mark.parametrize("plan", ["legacy", "cost"])
 @pytest.mark.parametrize("plan_mode", ["interpreted", "columnar", "row-fallback"])
-def test_wildcard_projection_in_both_modes(storage, plan_mode, execution_cell):
+def test_wildcard_projection_in_both_modes(plan, plan_mode, execution_cell):
     program = parse_program("p(X) :- q(X, _, _).")
     database = Database.from_dict({"q": [("a", 1, 2), ("c", 7, 7)]})
-    with configured(storage=storage), execution_cell(plan_mode):
+    with configured(plan=plan), execution_cell(plan_mode):
         assert answer_query(program, parse_literal("p(X)"), database) == {
             ("a",),
             ("c",),
@@ -106,17 +106,17 @@ class TestNegatedWildcards:
     def expected(self):
         return {(2,)}
 
-    @pytest.mark.parametrize("storage", ["kernel", "reference"])
+    @pytest.mark.parametrize("plan", ["legacy", "cost"])
     @pytest.mark.parametrize("plan_mode", ["interpreted", "columnar", "row-fallback"])
-    def test_model_engines_both_modes(self, storage, plan_mode, execution_cell):
+    def test_model_engines_both_modes(self, plan, plan_mode, execution_cell):
         program = parse_program(self.PROGRAM)
         query = parse_literal("s(X)")
         for engine_name in ("naive", "seminaive"):
             database = Database.from_dict(self.FACTS)
-            with configured(storage=storage), execution_cell(plan_mode):
+            with configured(plan=plan), execution_cell(plan_mode):
                 result = get_engine(engine_name).answer(program, query, database)
             assert result.answers == self.expected(), (
-                f"{engine_name} ({storage}/{plan_mode})"
+                f"{engine_name} ({plan}/{plan_mode})"
             )
 
     def test_reference_evaluator(self):

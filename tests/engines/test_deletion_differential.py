@@ -5,8 +5,8 @@ retract a slice of it, resume with the signed delta, and assert the answers
 equal a from-scratch materialization over the reduced database.  The model
 engines must get there by delete-rederive maintenance (never a rebuild), the
 demand engines by lazy per-entry invalidation.  Interleaved insert/retract
-streams and both storage/plan-execution modes are covered, as are the
-delete-then-reinsert round trip and the contract errors.
+streams, both join planners and every execution cell are covered, as are
+the delete-then-reinsert round trip and the contract errors.
 
 As in ``test_incremental_differential.py``, the bounded set-at-a-time
 methods (counting, reverse counting, Henschen-Naqvi) truncate on cyclic data
@@ -146,10 +146,10 @@ def test_dred_repairs_the_whole_model(engine_name, workload_name):
 
 @pytest.mark.parametrize("workload_name", MODE_WORKLOADS)
 @pytest.mark.parametrize("engine_name", ALL_ENGINES)
-@pytest.mark.parametrize("storage", ["kernel", "reference"])
+@pytest.mark.parametrize("plan", ["legacy", "cost"])
 @pytest.mark.parametrize("plan_mode", ["interpreted", "columnar", "row-fallback"])
 def test_delete_resume_under_modes(
-    engine_name, workload_name, storage, plan_mode, execution_cell
+    engine_name, workload_name, plan, plan_mode, execution_cell
 ):
     program, full_db, query = WORKLOADS[workload_name]()
     engine = get_engine(engine_name)
@@ -157,7 +157,7 @@ def test_delete_resume_under_modes(
         pytest.skip(f"{engine_name} not applicable to {workload_name}")
     deletes = _retraction_slice(full_db)
     reduced_db = _reduced(full_db, deletes)
-    with configured(storage=storage), execution_cell(plan_mode):
+    with configured(plan=plan), execution_cell(plan_mode):
         try:
             materialization = engine.materialize(program, full_db)
             materialization.answer(query)
@@ -168,7 +168,7 @@ def test_delete_resume_under_modes(
         scratch = engine.materialize(program, reduced_db).answer(query)
     assert resumed.answers == scratch.answers, (
         f"{engine_name} delete-resume != scratch on {workload_name} "
-        f"({storage}/{plan_mode})"
+        f"({plan}/{plan_mode})"
     )
 
 

@@ -1,7 +1,7 @@
 """Parallel-vs-sequential differential suite.
 
 The sequential path (``parallelism = 1``) is the differential oracle: for
-every engine, workload family, storage mode, plan-execution mode and worker
+every engine, workload family, join planner, execution cell and worker
 count, evaluation under parallelism must produce the *same answers and the
 same aggregated counters* as the sequential run -- the whole-fixpoint
 offload (a component's delta rounds run per invariant-column partition on
@@ -73,46 +73,46 @@ def _execution(mode):
     return configured(execution=mode)
 
 
-def _run(engine_name, workload_name, storage, plan_mode, workers, cell=_execution):
+def _run(
+    engine_name, workload_name, plan_mode, workers, cell=_execution, plan="legacy"
+):
     program, database, query = WORKLOADS[workload_name]()
     engine = get_engine(engine_name)
     if not engine.applicable(program, query):
         pytest.skip(f"{engine_name} rejects this workload by contract")
-    with configured(parallelism=workers, storage=storage), cell(plan_mode):
+    with configured(parallelism=workers, plan=plan), cell(plan_mode):
         result = engine.answer(program, query, database.copy())
     return result.answers, result.counters
 
 
 @pytest.mark.parametrize("workers", [2, 4])
 @pytest.mark.parametrize("plan_mode", ["interpreted", "columnar", "row-fallback"])
-@pytest.mark.parametrize("storage", ["kernel", "reference"])
+@pytest.mark.parametrize("plan", ["legacy", "cost"])
 @pytest.mark.parametrize("engine_name", RUNTIME_ENGINES)
 @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
 def test_parallel_matches_sequential(
-    engine_name, workload_name, storage, plan_mode, workers, execution_cell
+    engine_name, workload_name, plan, plan_mode, workers, execution_cell
 ):
     expected_answers, expected_counters = _run(
-        engine_name, workload_name, storage, plan_mode, 1, execution_cell
+        engine_name, workload_name, plan_mode, 1, execution_cell, plan
     )
     answers, counters = _run(
-        engine_name, workload_name, storage, plan_mode, workers, execution_cell
+        engine_name, workload_name, plan_mode, workers, execution_cell, plan
     )
     assert answers == expected_answers, (
         f"{engine_name}/{workload_name} answers diverge at {workers} workers "
-        f"({storage}/{plan_mode})"
+        f"({plan}/{plan_mode})"
     )
     assert counters == expected_counters, (
         f"{engine_name}/{workload_name} counters diverge at {workers} workers "
-        f"({storage}/{plan_mode}): {counters} != {expected_counters}"
+        f"({plan}/{plan_mode}): {counters} != {expected_counters}"
     )
 
 
 @pytest.mark.parametrize("engine_name", sorted(set(available_engines()) - set(RUNTIME_ENGINES)))
 def test_other_engines_are_undisturbed(engine_name):
-    expected_answers, expected_counters = _run(
-        engine_name, "tc-chain", "kernel", "columnar", 1
-    )
-    answers, counters = _run(engine_name, "tc-chain", "kernel", "columnar", 4)
+    expected_answers, expected_counters = _run(engine_name, "tc-chain", "columnar", 1)
+    answers, counters = _run(engine_name, "tc-chain", "columnar", 4)
     assert answers == expected_answers
     assert counters == expected_counters
 
@@ -121,10 +121,8 @@ def test_other_engines_are_undisturbed(engine_name):
 @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
 def test_forced_sharding_matches_sequential(workload_name, force_sharding):
     """Drive every delta round through the fork pool (threshold 1)."""
-    expected_answers, expected_counters = _run(
-        "seminaive", workload_name, "kernel", "columnar", 1
-    )
-    answers, counters = _run("seminaive", workload_name, "kernel", "columnar", 4)
+    expected_answers, expected_counters = _run("seminaive", workload_name, "columnar", 1)
+    answers, counters = _run("seminaive", workload_name, "columnar", 4)
     assert answers == expected_answers
     assert counters == expected_counters
 
@@ -140,7 +138,7 @@ def test_forced_sharding_actually_shards(force_sharding):
     one task per worker, one merge.
     """
     program, database, query = WORKLOADS["multi-component"]()
-    with configured(parallelism=4, storage="kernel", execution="columnar"):
+    with configured(parallelism=4, execution="columnar"):
         result = get_engine("seminaive").answer(program, query, database.copy())
     assert result.batch_stats.shards == 3 * 4
     assert result.batch_stats.merge_seconds > 0.0
@@ -170,7 +168,7 @@ def test_independent_closures_each_offload(force_sharding):
     engine = get_engine("seminaive")
     workers = 2
 
-    with configured(storage="kernel", execution="columnar"):
+    with configured(execution="columnar"):
         with configured(parallelism=1):
             sequential = engine.answer(program, query, database.copy())
         with configured(parallelism=workers):
@@ -308,7 +306,7 @@ def _evaluation_sequence(monkeypatch, workers, force_shards=False):
     engine = get_engine("seminaive")
     with monkeypatch.context() as patch:
         patch.setattr(_runtime, "_SHARD_MIN_ROWS", 1 if force_shards else 1 << 30)
-        with configured(parallelism=workers, storage="kernel", execution="columnar"):
+        with configured(parallelism=workers, execution="columnar"):
             first = engine.answer(program, query, database)
             database.reset_instrumentation()
             database.add_fact("edge_a", (18, 0))

@@ -1,6 +1,6 @@
 """Stratified differential suite: every applicable engine on every
-negation/aggregation workload family, under both storage modes and both
-plan-execution modes, against the independent per-stratum reference
+negation/aggregation workload family, under both join planners and in every
+execution cell, against the independent per-stratum reference
 evaluator (:func:`repro.datalog.semantics.stratified_model`) -- plus the
 non-monotone session resume path against from-scratch recomputation."""
 
@@ -42,10 +42,10 @@ def _reference(program, database, query):
 
 @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
 @pytest.mark.parametrize("engine_name", ALL_ENGINES)
-@pytest.mark.parametrize("storage", ["kernel", "reference"])
+@pytest.mark.parametrize("plan", ["legacy", "cost"])
 @pytest.mark.parametrize("plan_mode", ["interpreted", "columnar", "row-fallback"])
 def test_engines_match_the_stratified_reference(
-    engine_name, workload_name, storage, plan_mode, execution_cell
+    engine_name, workload_name, plan, plan_mode, execution_cell
 ):
     program, database, query = WORKLOADS[workload_name]()
     engine = get_engine(engine_name)
@@ -55,11 +55,11 @@ def test_engines_match_the_stratified_reference(
         )
         pytest.skip(f"{engine_name} rejects stratified programs by contract")
     expected = _reference(program, database, query)
-    with configured(storage=storage), execution_cell(plan_mode):
+    with configured(plan=plan), execution_cell(plan_mode):
         result = engine.answer(program, query, database.copy())
     assert result.answers == expected, (
         f"{engine_name} diverges from the stratified reference on "
-        f"{workload_name} ({storage}/{plan_mode})"
+        f"{workload_name} ({plan}/{plan_mode})"
     )
 
 

@@ -1,11 +1,10 @@
 """The repo invariant checker (``tools/check_invariants.py``).
 
 Pins three things: the real source tree is clean, a synthetic violation of
-each rule (storage encapsulation, no threads, no ``id()``, the storage
-setting stays in the storage layer, no ``global`` statements, no
-``rows()`` in the engines) is flagged with an exact ``line:column``, and
-the ``self``/storage-package exemptions hold so the checker never cries
-wolf.
+each rule (storage encapsulation, no threads, no ``id()``, no ``global``
+statements, no ``rows()`` in the engines) is flagged with an exact
+``line:column``, and the ``self``/storage-package exemptions hold so the
+checker never cries wolf.
 """
 
 import subprocess
@@ -120,46 +119,6 @@ class TestNoIdCalls:
             "    return weakref.ref(database), rule.id\n"
         )
         assert check_invariants.check_file(source) == []
-
-
-class TestStorageModeStaysInStorage:
-    def test_flags_mode_imports_outside_the_storage_layer(self, tmp_path):
-        engines = tmp_path / "src" / "repro" / "engines"
-        engines.mkdir(parents=True)
-        source = engines / "runtime.py"
-        source.write_text(
-            "from ..storage import runtime as _storage_runtime\n"
-            "from ..storage.runtime import get_storage_mode\n"
-            "from ..config import current_config\n"
-            "import repro.storage.runtime\n"
-            "kernel = current_config().storage == 'kernel'\n"
-        )
-        violations = check_invariants.check_file(source)
-        assert [(line, column) for line, column, _ in violations] == [
-            (1, 1),
-            (2, 1),
-            (4, 1),
-            (5, 10),
-        ]
-        assert all("Database.scan" in message for _, _, message in violations)
-
-    def test_storage_layer_and_other_imports_are_clean(self, tmp_path):
-        root = tmp_path / "src" / "repro"
-        (root / "datalog").mkdir(parents=True)
-        (root / "storage").mkdir()
-        mode_read = (
-            "from ..config import current_config\n"
-            "kernel = current_config().storage == 'kernel'\n"
-        )
-        (root / "datalog" / "database.py").write_text(mode_read)
-        (root / "storage" / "runtime.py").write_text(mode_read)
-        (root / "datalog" / "plans.py").write_text(
-            "from ..config import current_config\n"
-            "from ..storage.columns import build_probe\n"
-            "from ..storage import global_interner\n"
-            "interpreted = current_config().execution == 'interpreted'\n"
-        )
-        assert check_invariants.check_tree([tmp_path / "src"]) == 0
 
 
 class TestNoGlobals:

@@ -2,16 +2,22 @@
 
 Covers the bulk-insert path (``IntTable.add_many`` with and without the
 ``distinct`` promise), the lazily-maintained subset indexes it defers to,
-the per-database kernel-probe cache, and the charging parity of
+the per-database kernel-probe cache (also when a caller swaps the
+database's counters for one call), and the charging parity of
 :class:`~repro.storage.columns.KernelProbe` against ``Database.scan``.
 """
 
 import pytest
 
+from repro.config import configured
 from repro.datalog.database import Database
+from repro.datalog.parser import parse_program
+from repro.engines import get_engine
 from repro.instrumentation import Counters
+from repro.session import QuerySession
 from repro.storage import Interner, IntTable
 from repro.storage.columns import KernelProbe, SilentProbe, build_probe
+from repro.workloads import random_genealogy
 
 
 def fresh_table(rows=(), arity=2):
@@ -167,3 +173,63 @@ class TestProbeCache:
         rebuilt = build_probe(db, "e", (0,), db.counters)
         assert rebuilt is not cached
         assert rebuilt.counters is db.counters
+
+    def test_swapped_counters_get_a_fresh_probe(self):
+        db = Database.from_dict({"e": [("a", "b")]}, counters=Counters())
+        cached = build_probe(db, "e", (0,), db.counters)
+        db.counters = Counters()
+        rebuilt = build_probe(db, "e", (0,), db.counters)
+        assert rebuilt is not cached
+        assert rebuilt.counters is db.counters
+
+
+def _per_call_counters(measure):
+    """``measure()``'s counters by default and under the reference
+    evaluation, which builds no probes."""
+    results = {}
+    for execution in ("columnar", "interpreted"):
+        with configured(execution=execution):
+            results[execution] = measure().as_dict()
+    return results
+
+
+class TestPerCallCounters:
+    """A materialization's resume and a magic refresh swap the database's
+    counters for one call; a probe cached before the swap must not keep
+    charging the old object."""
+
+    def test_model_resume_charges_the_call(self):
+        program = parse_program(
+            "tc(X, Y) :- e(X, Y). tc(X, Z) :- tc(X, Y), e(Y, Z). "
+            "r(X, Z) :- tc(X, Y), f(Y, Z)."
+        )
+        facts = {
+            "e": [(i, i + 1) for i in range(30)],
+            "f": [(i, 2 * i) for i in range(40)],
+        }
+
+        def measure():
+            materialization = get_engine("seminaive").materialize(
+                program, Database.from_dict(facts)
+            )
+            call = Counters()
+            materialization.resume({"e": [(31, 32), (30, 31)]}, counters=call)
+            return call
+
+        results = _per_call_counters(measure)
+        assert results["columnar"] == results["interpreted"]
+        assert results["interpreted"]["fact_retrievals"] == 125
+        assert results["interpreted"]["distinct_facts"] == 4
+
+    def test_magic_refresh_charges_the_query(self):
+        def measure():
+            program, database, query = random_genealogy(120, 5)
+            session = QuerySession(program, database, engine="magic")
+            session.query(query)
+            session.insert({"up": [("p0", "p1")], "down": [("p1", "p0")]})
+            return session.query(query).counters
+
+        results = _per_call_counters(measure)
+        assert results["columnar"] == results["interpreted"]
+        assert results["interpreted"]["fact_retrievals"] == 119
+        assert results["interpreted"]["distinct_facts"] == 28

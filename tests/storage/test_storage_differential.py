@@ -1,17 +1,14 @@
-"""Differential tests: interned-storage kernel vs the object-tuple reference.
+"""Differential tests: the storage kernel's fast paths vs the reference.
 
-Every engine is run on every workload family three times -- on the storage
-kernel's fast paths (adjacency-bucket images, bucket-level charging memo);
-in ``"reference"`` storage mode, where ``Database.scan`` charges every
-bucket row by row and ``Database.image`` falls back to the historical
-per-row object-tuple scan loop; and in reference storage under the
-``"interpreted"`` executor.  The columnar executor's batch probes charge
-through the memo in both storage modes, so only the last cell, where every
-retrieval goes through ``Database.match``/``scan`` with no memo, checks
-them against a memo-free oracle.  All three must produce identical answers
-*and* identical work counters.  This is the executable form of the
-kernel's core invariant: the counters measure *retrievals*, not
-representation.
+Every engine is run on every workload family twice -- by default, on the
+storage kernel's fast paths (batch probes, adjacency-bucket images, the
+bucket-level charging memo), and under the reference evaluation,
+``configured(execution="interpreted")``, where every retrieval goes through
+``Database.match``/``scan`` charging row by row with no memo and
+``Database.image`` runs the per-row scan loop.  Both must produce identical
+answers *and* identical work counters, and the reference run must leave
+every charging memo empty.  This is the executable form of the kernel's
+core invariant: the counters measure *retrievals*, not representation.
 
 The module also carries the regression tests for the satellite fixes that
 landed with the kernel: ``Database.rows`` returning the live internal row
@@ -21,7 +18,7 @@ set, and the audit of the remaining accessors for leaked internals.
 import pytest
 
 from repro.config import configured
-from repro.datalog.database import Database, Relation
+from repro.datalog.database import Database, Delta, Relation
 from repro.datalog.semantics import answer_query
 from repro.engines import get_engine, run_engine
 from repro.instrumentation import Counters
@@ -69,12 +66,12 @@ ALL_ENGINES = [
 ]
 
 
-def _measure(engine, workload, mode, execution="columnar"):
+def _measure(engine, workload, execution):
     program, database, query = workload
     counters = Counters()
     fresh = database.copy()
     fresh.reset_instrumentation(counters)
-    with configured(storage=mode, execution=execution):
+    with configured(execution=execution):
         result = run_engine(engine, program, query, fresh, counters)
     return result.answers, counters.as_dict()
 
@@ -90,13 +87,8 @@ def test_kernel_and_reference_storage_agree(engine, workload_name):
         applicable = False
     if not applicable:
         pytest.skip(f"{engine} not applicable to {workload_name}")
-    kernel_answers, kernel_counters = _measure(engine, workload, "kernel")
-    reference_answers, reference_counters = _measure(engine, workload, "reference")
-    assert kernel_answers == reference_answers
-    assert kernel_counters == reference_counters
-    oracle_answers, oracle_counters = _measure(
-        engine, workload, "reference", "interpreted"
-    )
+    kernel_answers, kernel_counters = _measure(engine, workload, "columnar")
+    oracle_answers, oracle_counters = _measure(engine, workload, "interpreted")
     assert kernel_answers == oracle_answers
     assert kernel_counters == oracle_counters
     if workload_name != "sample-cyclic-3x4":
@@ -111,10 +103,10 @@ class TestImageDifferential:
 
     DB = {"up": [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"), ("x", "a")]}
 
-    def _image(self, values, inverted, mode):
+    def _image(self, values, inverted, execution):
         counters = Counters()
         database = Database.from_dict(self.DB, counters=counters)
-        with configured(storage=mode):
+        with configured(execution=execution):
             result = database.image("up", values, inverted=inverted)
             again = database.image("up", values, inverted=inverted)
         assert result == again  # repeat retrieval is stable
@@ -125,8 +117,8 @@ class TestImageDifferential:
         "values", [("a",), ("a", "b"), ("a", "zzz"), (), ("zzz",), ("a", "b", "c", "x", "d")]
     )
     def test_modes_agree_on_answers_and_counters(self, values, inverted):
-        kernel = self._image(values, inverted, "kernel")
-        reference = self._image(values, inverted, "reference")
+        kernel = self._image(values, inverted, "columnar")
+        reference = self._image(values, inverted, "interpreted")
         assert kernel == reference
 
     def test_repeat_images_charge_repeat_retrievals(self):
@@ -207,7 +199,8 @@ class TestActiveDomain:
 
 
 class TestQueryPinsUnderModes:
-    """A full query gives the same counters under both storage modes."""
+    """A full query gives the same counters by default and under the
+    reference evaluation."""
 
     PROGRAM = """
         sg(X, Y) :- flat(X, Y).
@@ -217,11 +210,63 @@ class TestQueryPinsUnderModes:
     @pytest.mark.parametrize("engine", ["henschen-naqvi", "counting", "graph"])
     def test_same_generation_counters_stable(self, engine):
         results = {}
-        for mode in ("kernel", "reference"):
+        for execution in ("columnar", "interpreted"):
             program, database, query = sample_c(8)
             counters = Counters()
             database.reset_instrumentation(counters)
-            with configured(storage=mode):
+            with configured(execution=execution):
                 answers = run_engine(engine, program, query, database, counters).answers
-            results[mode] = (answers, counters.as_dict())
-        assert results["kernel"] == results["reference"]
+            results[execution] = (answers, counters.as_dict())
+        assert results["columnar"] == results["interpreted"]
+
+
+class TestReferenceIsMemoFree:
+    """The reference evaluation never fills a charging memo.
+
+    Every database an evaluation creates -- the per-call overlays, the
+    runtime's scratch stores, a materialization's model -- is recorded, and
+    after an interpreted run its bucket-charging memo (``_charged``), probe
+    cache (``_probe_cache``) and image memo (``_image_ctx``) must all be
+    empty.  The default run fills them, which shows that the recording sees
+    the databases that charge.
+    """
+
+    WORKLOADS = ["chain-16", "sample-b-6", "sample-c-6", "genealogy-12"]
+
+    @staticmethod
+    def _memos(database):
+        return database._charged, database._probe_cache, database._image_ctx
+
+    def _databases_after(self, execution, monkeypatch):
+        created = []
+        init = Database.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            created.append(self)
+
+        with monkeypatch.context() as patch, configured(execution=execution):
+            patch.setattr(Database, "__init__", recording_init)
+            for name in self.WORKLOADS:
+                program, database, query = WORKLOADS[name]
+                for engine_name in ALL_ENGINES:
+                    engine = get_engine(engine_name)
+                    if not engine.applicable(program, query):
+                        continue
+                    engine.answer(program, query, database.copy())
+                    materialization = engine.materialize(program, database.copy())
+                    materialization.answer(query)
+                    predicate = min(p for p in program.base_predicates if database.count(p))
+                    row = min(database.rows(predicate))
+                    engine.resume(materialization, Delta(deletes={predicate: [row]}))
+                    materialization.answer(query)
+                    engine.resume(materialization, {predicate: [row]})
+                    materialization.answer(query)
+        return created
+
+    def test_interpreted_run_leaves_every_memo_empty(self, monkeypatch):
+        default = self._databases_after("columnar", monkeypatch)
+        charged, probes, images = zip(*(self._memos(db) for db in default))
+        assert any(charged) and any(probes) and any(images)
+        for database in self._databases_after("interpreted", monkeypatch):
+            assert self._memos(database) == ({}, {}, {})

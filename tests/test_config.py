@@ -3,7 +3,7 @@ and per-thread isolation."""
 
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -34,7 +34,13 @@ class TestDefaults:
         assert current_config() == EvalConfig()
         monkeypatch.delenv("REPRO_PARALLELISM", raising=False)
         config = EvalConfig()
-        assert config == EvalConfig("columnar", "legacy", "kernel", False, 1)
+        assert [field.name for field in fields(config)] == [
+            "execution",
+            "plan",
+            "optimize",
+            "parallelism",
+        ]
+        assert config == EvalConfig("columnar", "legacy", False, 1)
         with configured(parallelism=1):
             assert _getters() == ("columnar", "legacy", "off", "kernel", 1, True)
 
@@ -49,7 +55,6 @@ class TestDefaults:
         with configured(
             execution="interpreted",
             plan="cost",
-            storage="reference",
             optimize=True,
             parallelism=3,
         ):
@@ -63,7 +68,6 @@ def _setting(changes):
 INVALID = [
     {"execution": "compiled"},
     {"plan": "oracle"},
-    {"storage": "mmap"},
     {"optimize": "on"},
     {"parallelism": 0},
     {"parallelism": "two"},
@@ -81,6 +85,13 @@ class TestValidation:
         before = current_config()
         with pytest.raises(ValueError):
             with configured(**changes):
+                pytest.fail("the block must not run")
+        assert current_config() is before
+
+    def test_storage_is_not_a_setting(self):
+        before = current_config()
+        with pytest.raises(TypeError):
+            with configured(storage="reference"):
                 pytest.fail("the block must not run")
         assert current_config() is before
 
@@ -102,7 +113,7 @@ class TestRestore:
     def test_restores_on_error(self):
         before = current_config()
         with pytest.raises(RuntimeError):
-            with configured(storage="reference"):
+            with configured(execution="interpreted"):
                 raise RuntimeError("boom")
         assert current_config() is before
 
@@ -135,7 +146,7 @@ class TestThreads:
     """
 
     CONFIGS = {
-        "interpreted": {"execution": "interpreted", "storage": "reference"},
+        "interpreted": {"execution": "interpreted"},
         "cost": {"plan": "cost"},
     }
     RUNS = 15

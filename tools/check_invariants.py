@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Repo invariant checker: storage encapsulation, no threads, no ``id()``,
-the storage setting stays in the storage layer, no ``global`` statements,
-no whole-relation ``rows()`` copies in the engines.
+no ``global`` statements, no whole-relation ``rows()`` copies in the
+engines.
 
-Six rules, checked over the source tree's ASTs:
+Five rules, checked over the source tree's ASTs:
 
 * **Storage internals stay inside ``repro.storage``.**  The
   :class:`repro.storage.table.IntTable` row map, subset indexes, lag
@@ -30,15 +30,6 @@ Six rules, checked over the source tree's ASTs:
   per call, so a later call can land on an earlier one's address.  Hold
   the object itself, a ``weakref`` to it, or a key that names it (an
   index, a name).
-* **The storage setting stays in the storage layer.**  The ``reference``
-  storage setting switches :meth:`Database.scan
-  <repro.datalog.database.Database.scan>` and ``Database.image`` to their
-  memo-free loops and nothing else, so under ``src/repro`` only the storage
-  package and ``datalog/database.py`` may read an attribute named
-  ``storage`` (the :class:`repro.config.EvalConfig` field) or import
-  ``repro.storage.runtime`` (absolute or relative).  An executor that
-  forked on the setting would keep a second code path the differential
-  suites must cover twice.
 * **No ``global`` statements.**  Evaluation settings live in one
   :class:`repro.config.EvalConfig` per thread, read with
   ``current_config()`` and changed with ``configured()``; a module global
@@ -64,7 +55,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 #: IntTable storage representation -- see the class's ``__slots__``.
 BANNED_ATTRIBUTES = frozenset(
@@ -80,12 +71,6 @@ BANNED_ATTRIBUTES = frozenset(
 
 #: The package that owns the representation and may touch it freely.
 ALLOWED_PREFIX = ("src", "repro", "storage")
-
-#: The storage-setting module and the ``EvalConfig`` field it reads.
-MODE_MODULE = "repro.storage.runtime"
-MODE_FIELD = "storage"
-#: The layer the storage setting belongs to, below ``src/repro``.
-MODE_OWNERS = (("storage",), ("datalog", "database.py"))
 
 #: The package whose answer, resume and maintenance paths may not copy a
 #: whole relation through ``rows()``.
@@ -140,41 +125,6 @@ def _is_id_call(node: ast.AST) -> bool:
     )
 
 
-def _package(path: Path) -> Optional[List[str]]:
-    """The dotted package of a file under ``src/repro`` (``None`` elsewhere,
-    or when the file belongs to the storage layer)."""
-    parts = path.parts
-    for start in range(len(parts) - 1):
-        if parts[start : start + 2] == ("src", "repro"):
-            inner = parts[start + 2 :]
-            if any(inner[: len(owner)] == owner for owner in MODE_OWNERS):
-                return None
-            return list(parts[start + 1 : -1])
-    return None
-
-
-def _reads_storage_mode(node: ast.AST, package: List[str]) -> bool:
-    if isinstance(node, ast.Attribute):
-        return node.attr == MODE_FIELD
-    if isinstance(node, ast.Import):
-        return any(
-            alias.name == MODE_MODULE or alias.name.startswith(MODE_MODULE + ".")
-            for alias in node.names
-        )
-    if not isinstance(node, ast.ImportFrom):
-        return False
-    if node.level:
-        base = package[: len(package) - (node.level - 1)]
-        module = ".".join(base + ([node.module] if node.module else []))
-    else:
-        module = node.module or ""
-    if module == MODE_MODULE or module.startswith(MODE_MODULE + "."):
-        return True
-    return module == "repro.storage" and any(
-        alias.name == "runtime" for alias in node.names
-    )
-
-
 def check_file(path: Path) -> List[Tuple[int, int, str]]:
     """Rule violations in one file as ``(line, col, message)``."""
     try:
@@ -183,20 +133,9 @@ def check_file(path: Path) -> List[Tuple[int, int, str]]:
         return [(0, 0, f"cannot parse: {exc}")]
     storage_owner = _under(path, ALLOWED_PREFIX)
     in_engines = _under(path, ENGINES_PREFIX)
-    package = _package(path)
     violations: List[Tuple[int, int, str]] = []
     for node in ast.walk(tree):
-        if package is not None and _reads_storage_mode(node, package):
-            violations.append(
-                (
-                    node.lineno,
-                    node.col_offset + 1,
-                    "storage setting read outside the storage layer; the "
-                    "`reference` mode switches only Database.scan and "
-                    "Database.image",
-                )
-            )
-        elif isinstance(node, ast.Global):
+        if isinstance(node, ast.Global):
             violations.append(
                 (
                     node.lineno,
