@@ -1,4 +1,4 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the pytest-benchmark experiments (``bench_*.py``).
 
 Every benchmark measures two things:
 
@@ -16,13 +16,8 @@ strategies), never absolute numbers.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import subprocess
-import sys
-import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.datalog.semantics import answer_query
 from repro.engines import run_engine
@@ -92,111 +87,3 @@ def engine_answers(engine: str, workload):
 def comparison_row(engines: Sequence[str], workload) -> Dict[str, int]:
     """Total work of each engine on one workload (one row of the table)."""
     return {engine: measure_work(engine, workload).total_work() for engine in engines}
-
-
-# ---------------------------------------------------------------------------
-# The two-checkout wall-clock harness
-# ---------------------------------------------------------------------------
-#
-# Wall-clock comparisons against a historical checkout are the one place a
-# benchmark cannot trust a single run: machine-load drift on shared CI
-# runners swings individual measurements by tens of percent.  Every
-# before/after script therefore follows the same protocol -- an internal
-# ``--measure-only`` flag prints one measurement pass as JSON, the driver
-# re-invokes itself in subprocesses with ``PYTHONPATH`` pointing at either
-# tree, the passes *alternate* so drift hits both sides about equally, and
-# the per-cell minimum over all rounds is reported.  These helpers are that
-# protocol; the scripts contribute only their workload matrices.
-
-def repo_src() -> str:
-    """The ``src`` directory of the tree this benchmark file belongs to."""
-    return os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-
-
-def best_of(fn: Callable[[], object], rounds: int) -> float:
-    """Minimum wall-clock seconds of ``fn`` over ``rounds`` runs."""
-    best = float("inf")
-    for _ in range(rounds):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def calibrated_best(one_run: Callable[[], Tuple[float, object]], repeats: int,
-                    floor_seconds: float = 0.06, max_loops: int = 300):
-    """Best-of-N for a self-timing cell, N calibrated against ``floor_seconds``.
-
-    ``one_run`` returns ``(seconds, payload)``; a warm-up run estimates the
-    cell cost and the loop count is raised, timeit-style, until the measured
-    batch covers at least the floor, so sub-millisecond cells are not pure
-    scheduler noise.  Returns ``(best_seconds, payload_of_warmup)``.
-    """
-    warmup, payload = one_run()
-    loops = max(repeats, min(max_loops, int(floor_seconds / max(warmup, 1e-6)) + 1))
-    best = warmup
-    for _ in range(loops):
-        seconds, _ = one_run()
-        best = min(best, seconds)
-    return best, payload
-
-
-def subprocess_pass(script: str, pythonpath: str, flavour: str,
-                    extra_args: Sequence[str] = ()) -> dict:
-    """One ``--measure-only`` pass of ``script`` in a fresh interpreter.
-
-    ``pythonpath`` selects the tree the measurement imports (the current
-    ``src`` or a historical checkout); the pass prints its results as JSON
-    on stdout.
-    """
-    env = dict(os.environ, PYTHONPATH=pythonpath)
-    output = subprocess.check_output(
-        [sys.executable, os.path.abspath(script), "--measure-only", flavour,
-         *extra_args],
-        env=env,
-    )
-    return json.loads(output)
-
-
-def merge_min(target: dict, sample: dict) -> None:
-    """Fold one pass into ``target``, keeping the per-cell minimum seconds."""
-    for cell, row in sample.items():
-        kept = target.get(cell)
-        if kept is None or row["seconds"] < kept["seconds"]:
-            target[cell] = row
-
-
-def alternating_passes(
-    script: str,
-    rounds: int,
-    baseline: Tuple[str, str],
-    current: Tuple[str, str],
-    extra_args: Sequence[str] = (),
-) -> Tuple[dict, dict]:
-    """Alternate baseline/current subprocess passes; per-cell minimums.
-
-    ``baseline`` and ``current`` are ``(pythonpath, flavour)`` pairs.  Cells
-    present in both results have their answer payloads cross-checked by the
-    caller; this function only guarantees the alternation order and the
-    minimum-keeping merge.
-    """
-    before: dict = {}
-    after: dict = {}
-    for _ in range(rounds):
-        merge_min(before, subprocess_pass(script, baseline[0], baseline[1], extra_args))
-        merge_min(after, subprocess_pass(script, current[0], current[1], extra_args))
-    return before, after
-
-
-def check_answer_parity(before: dict, after: dict) -> None:
-    """Abort when any cell's answer count differs between the two trees."""
-    for cell in after:
-        if cell in before and before[cell].get("answers") != after[cell].get("answers"):
-            raise SystemExit(f"answer count mismatch on {cell}")
-
-
-def write_report(path: str, report: dict) -> None:
-    """Write a benchmark report as stable, diff-friendly JSON."""
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=1, sort_keys=True)
-        handle.write("\n")

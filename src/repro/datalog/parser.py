@@ -301,9 +301,11 @@ class _Parser:
             return comparison
         if isinstance(first, Literal):
             return first
-        if isinstance(first, Constant):
+        if isinstance(first, Constant) and token.kind == "IDENT":
             # A zero-argument predicate like `halt.` -- represent as arity 0.
-            atom = Literal(str(first.value), [])
+            # Only a bare identifier names one; a number or quoted string
+            # in literal position is not a predicate name.
+            atom = Literal(token.text, [])
             atom.span = first.span
             return atom
         raise DatalogSyntaxError(

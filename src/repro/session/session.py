@@ -393,8 +393,11 @@ class QuerySession:
         """Insert facts and incrementally refresh every cached materialization.
 
         Returns the number of genuinely new rows.  Duplicates neither advance
-        the database version nor trigger any resume work.
+        the database version nor trigger any resume work.  Rows for a
+        derived predicate raise :class:`ValueError` and change nothing, here
+        and in every other write method.
         """
+        self._check_base((predicate,))
         added = self.database.add_facts(predicate, rows)
         if added:
             self._refresh()
@@ -402,6 +405,7 @@ class QuerySession:
 
     def insert(self, facts: Dict[str, Iterable[Iterable[object]]]) -> int:
         """Insert a multi-predicate batch, refreshing caches once at the end."""
+        self._check_base(facts)
         added = 0
         for predicate, rows in facts.items():
             added += self.database.add_facts(predicate, rows)
@@ -420,6 +424,7 @@ class QuerySession:
         -- never rebuilt from scratch -- and the demand caches invalidate
         only the entries whose visible predicates the deletion touches.
         """
+        self._check_base((predicate,))
         removed = self.database.remove_facts(predicate, rows)
         if removed:
             self._refresh()
@@ -427,6 +432,7 @@ class QuerySession:
 
     def retract(self, facts: Dict[str, Iterable[Iterable[object]]]) -> int:
         """Delete a multi-predicate batch, refreshing caches once at the end."""
+        self._check_base(facts)
         removed = 0
         for predicate, rows in facts.items():
             removed += self.database.remove_facts(predicate, rows)
@@ -441,6 +447,7 @@ class QuerySession:
     ) -> int:
         """Apply a mixed batch -- deletions first, then insertions -- with one
         refresh at the end; returns the number of effective mutations."""
+        self._check_base([*(deletes or {}), *(inserts or {})])
         changed = 0
         for predicate, rows in (deletes or {}).items():
             changed += self.database.remove_facts(predicate, rows)
@@ -449,6 +456,16 @@ class QuerySession:
         if changed:
             self._refresh()
         return changed
+
+    def _check_base(self, predicates: Iterable[str]) -> None:
+        """Reject a write to a derived predicate before it reaches the
+        database: no cached materialization could resume past it."""
+        derived = self.program.derived_predicates
+        for predicate in predicates:
+            if predicate in derived:
+                raise ValueError(
+                    f"cannot write facts for derived predicate {predicate!r}"
+                )
 
     def _refresh(self) -> None:
         for strategy, materialization in self._materializations.items():

@@ -74,6 +74,12 @@ class TestCli:
         assert main([str(path)]) == 1
         assert "bad query directive" in capsys.readouterr().out
 
+    def test_constant_in_literal_position_is_a_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "quoted.dl"
+        path.write_text("% lint: known q\np(X) :- q(X), not ''(X).\n")
+        assert main([str(path)]) == 1
+        assert f"{path}:2:19: error[DL101]" in capsys.readouterr().out
+
     def test_codes_table(self, capsys):
         assert main(["--codes"]) == 0
         out = capsys.readouterr().out

@@ -81,6 +81,33 @@ class TestAtomComparisonOperands:
         ) == span
 
 
+class TestZeroArityAtoms:
+    """Only a bare identifier forms a zero-argument atom; a number or a
+    quoted string in literal position is a spanned syntax error."""
+
+    def test_bare_identifier_is_a_zero_arity_fact(self):
+        program = parse_program("halt.")
+        assert [str(rule) for rule in program.rules] == ["halt()."]
+        assert parse_query("halt") == Literal("halt", [])
+
+    @pytest.mark.parametrize(
+        "parse,text,column",
+        [
+            (parse_program, "p(X) :- q(X), not ''(X).", 19),
+            (parse_query, "''", 1),
+            (parse_program, "42.", 1),
+            (parse_program, "'a b'.", 1),
+            (parse_program, 'p(X) :- q(X), "r"(X).', 15),
+        ],
+        ids=["negated-empty-quote", "empty-quote-query", "number", "quoted", "quoted-atom"],
+    )
+    def test_constant_in_literal_position_rejected(self, parse, text, column):
+        with pytest.raises(DatalogSyntaxError, match="expected a literal") as info:
+            parse(text)
+        assert info.value.span is not None
+        assert (info.value.span.line, info.value.span.column) == (1, column)
+
+
 class TestProgramParsing:
     SG = """
         % the same-generation program

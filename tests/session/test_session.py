@@ -394,3 +394,33 @@ class TestSessionRetraction:
         assert after == answer_query(program, query, session.database)
         # deleting below the negation *adds* consequences above it
         assert len(after) > len(before)
+
+
+class TestDerivedPredicateWrites:
+    """A write to a derived predicate is rejected before it reaches the
+    database; the session keeps answering and accepting EDB writes."""
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda s: s.insert_facts("tc", [(7, 8)]),
+            lambda s: s.insert({"e": [(3, 4)], "tc": [(7, 8)]}),
+            lambda s: s.retract_facts("tc", [(0, 1)]),
+            lambda s: s.retract({"e": [(0, 1)], "tc": [(0, 1)]}),
+            lambda s: s.update(inserts={"tc": [(7, 8)]}),
+            lambda s: s.update(inserts={"e": [(3, 4)]}, deletes={"tc": [(0, 1)]}),
+        ],
+        ids=["insert_facts", "insert", "retract_facts", "retract", "update", "update-deletes"],
+    )
+    def test_rejected_write_leaves_the_session_usable(self, write):
+        program = parse_program(TC)
+        session = QuerySession(program, Database.from_dict({"e": [(0, 1), (1, 2)]}))
+        query = parse_literal("tc(0, Y)")
+        session.query(query)
+        version = session.database.version
+        with pytest.raises(ValueError, match="derived predicate 'tc'"):
+            write(session)
+        assert session.database.version == version
+        assert session.query(query).answers == {(1,), (2,)}
+        assert session.insert_facts("e", [(2, 3)]) == 1
+        assert session.query(query).answers == {(1,), (2,), (3,)}
